@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiments import Coupling, ExperimentConfig, run_phase
+from .experiments import SETTINGS, PairBatch, run_pair
 from .simplex import solve_phase1
 from .state import BeamSplitterParams
 
@@ -45,9 +45,6 @@ __all__ = [
     "hardy_constants",
     "HardyConstants",
 ]
-
-# A setting is True when the in-arm detector is placed on that side.
-SETTINGS = ((True, True), (True, False), (False, True), (False, False))
 
 NO_SIGNALING_TOL = 1e-9
 FEASIBILITY_TOL = 1e-9
@@ -128,12 +125,11 @@ class BehaviorTable:
 
 def behavior_from_phase_setup(bs: BeamSplitterParams, phi: float) -> BehaviorTable:
     """Measure the phase-coupled pair under all four detector placements."""
+    dist = run_pair(PairBatch.phase_settings(bs, [phi]))
     tables: dict[tuple[bool, bool], dict[tuple[str, str], float]] = {}
-    for setting in SETTINGS:
-        config = ExperimentConfig(bs=bs, coupling=Coupling.phase(phi), u1=setting[0], u2=setting[1])
-        dist = run_phase(config)
+    for row, setting in enumerate(SETTINGS):
         table: dict[tuple[str, str], float] = {}
-        for outcome, p in dist.probabilities.items():
+        for outcome, p in dist.row(row).probabilities.items():
             if not isinstance(outcome, tuple):
                 raise RuntimeError(f"joint sink {outcome!r} cannot occur in the phase setup")
             table[outcome] = p

@@ -25,6 +25,7 @@ from .experiments import (
     Coupling,
     ExperimentConfig,
     GravityParams,
+    PairBatch,
     ev_retest_efficiency,
     gravity_phase,
     run_ev,
@@ -124,7 +125,7 @@ def cmd_annihilation(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         bs=bs, coupling=Coupling.annihilation(), u1=args.place_u_plus, u2=args.place_u_minus
     )
-    dist = run_pair(config)
+    dist = run_pair(PairBatch.of(config)).row(0)
     joint = {}
     for o1 in side_outcomes(args.place_u_plus):
         for o2 in side_outcomes(args.place_u_minus):
@@ -150,7 +151,7 @@ def cmd_phase(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         bs=bs, coupling=Coupling.phase(phi), u1=args.place_u1, u2=args.place_u2
     )
-    dist = run_pair(config)
+    dist = run_pair(PairBatch.of(config)).row(0)
     joint = {}
     for o1 in side_outcomes(args.place_u1):
         for o2 in side_outcomes(args.place_u2):

@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .state import (
     ABSORBED,
     EXPLODED,
@@ -20,6 +22,7 @@ from .state import (
     BeamSplitterParams,
     JointState,
     OutcomeDistribution,
+    Readout,
     apply_absorber,
     apply_annihilation_coupling,
     apply_bs1,
@@ -34,6 +37,8 @@ __all__ = [
     "Coupling",
     "ExperimentConfig",
     "GravityParams",
+    "SETTINGS",
+    "PairBatch",
     "run_ev",
     "ev_retest_efficiency",
     "run_pair_state",
@@ -48,6 +53,9 @@ GRAVITATIONAL_CONSTANT = 6.67430e-11  # m^3 kg^-1 s^-2 (CODATA 2018)
 HBAR = 1.054571817e-34  # J s (CODATA 2018)
 
 _COUPLING_KINDS = ("none", "annihilation", "phase")
+
+# Detector placements (side 1, side 2); True when the in-arm detector is placed.
+SETTINGS = ((True, True), (True, False), (False, True), (False, False))
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,51 @@ class ExperimentConfig:
     u2: bool = False
 
 
+@dataclass(frozen=True, eq=False)
+class PairBatch:
+    """Twin runs as columns: entry ``k`` of every field describes row ``k``.
+
+    ``phi`` is each row's joint phase, zero on rows without a phase coupling
+    (a zero phase leaves the amplitudes bit-identical); ``annihilate``,
+    ``u1`` and ``u2`` are boolean masks of the rows whose ``u`` arms
+    annihilate and of the rows with each in-arm detector placed.
+    """
+
+    bs: BeamSplitterParams
+    phi: np.ndarray
+    annihilate: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return len(self.phi)
+
+    @classmethod
+    def of(cls, *configs: ExperimentConfig) -> "PairBatch":
+        """One row per configuration, in order."""
+        bs = BeamSplitterParams(
+            t=np.array([c.bs.t for c in configs]), r=np.array([c.bs.r for c in configs])
+        )
+        phi = [c.coupling.phi if c.coupling.kind == "phase" else 0.0 for c in configs]
+        return cls(
+            bs,
+            np.array(phi),
+            np.array([c.coupling.kind == "annihilation" for c in configs]),
+            np.array([c.u1 for c in configs]),
+            np.array([c.u2 for c in configs]),
+        )
+
+    @classmethod
+    def phase_settings(cls, bs: BeamSplitterParams, phis) -> "PairBatch":
+        """Phase-coupled runs under every setting: row ``k * len(phis) + j``
+        has the placements ``SETTINGS[k]`` and the phase ``phis[j]``."""
+        phis = np.asarray(phis, dtype=float)
+        u1, u2 = np.repeat(np.array(SETTINGS), len(phis), axis=0).T
+        no_annihilation = np.zeros(len(u1), dtype=bool)
+        return cls(bs, np.concatenate((phis,) * len(SETTINGS)), no_annihilation, u1, u2)
+
+
 @dataclass(frozen=True)
 class GravityParams:
     """Masses and geometry for a gravitationally induced coupling phase."""
@@ -122,7 +175,7 @@ def run_ev(bs: BeamSplitterParams, bomb_present: bool) -> OutcomeDistribution:
     if bomb_present:
         state = apply_absorber(state, 0, U, EXPLODED)
     state = apply_bs2(state, 0, bs)
-    return measure(state)
+    return measure(state).row(0)
 
 
 def ev_retest_efficiency(bs: BeamSplitterParams) -> float:
@@ -135,45 +188,46 @@ def ev_retest_efficiency(bs: BeamSplitterParams) -> float:
     return t_sq / (1.0 + t_sq)
 
 
-def run_pair_state(config: ExperimentConfig) -> JointState:
-    """Final (pre-readout) joint state of a twin run.
+def run_pair_state(batch: PairBatch) -> JointState:
+    """Final (pre-readout) joint states of a batch of twin runs.
 
     The second splitters act on both sides even when an in-arm detector is
     placed: the not-absorbed part of that side still propagates to ``C``/``D``.
     """
-    state = JointState.pair()
-    state = apply_bs1(state, 0, config.bs)
-    state = apply_bs1(state, 1, config.bs)
-    if config.coupling.kind == "annihilation":
-        state = apply_annihilation_coupling(state)
-    elif config.coupling.kind == "phase":
-        state = apply_phase_coupling(state, config.coupling.phi)
-    if config.u1:
-        state = apply_absorber(state, 0, U, ABSORBED)
-    if config.u2:
-        state = apply_absorber(state, 1, U, ABSORBED)
-    state = apply_bs2(state, 0, config.bs)
-    state = apply_bs2(state, 1, config.bs)
+    state = JointState.pair(batch.rows)
+    state = apply_bs1(state, 0, batch.bs)
+    state = apply_bs1(state, 1, batch.bs)
+    # A stage no row has is skipped; applying it would leave the state as is.
+    if batch.phi.any():
+        state = apply_phase_coupling(state, batch.phi)
+    if batch.annihilate.any():
+        state = apply_annihilation_coupling(state, batch.annihilate)
+    if batch.u1.any():
+        state = apply_absorber(state, 0, U, ABSORBED, batch.u1)
+    if batch.u2.any():
+        state = apply_absorber(state, 1, U, ABSORBED, batch.u2)
+    state = apply_bs2(state, 0, batch.bs)
+    state = apply_bs2(state, 1, batch.bs)
     return state
 
 
-def run_pair(config: ExperimentConfig) -> OutcomeDistribution:
-    """Run a twin configuration of any coupling kind and read out."""
-    return measure(run_pair_state(config))
+def run_pair(batch: PairBatch) -> Readout:
+    """Run a batch of twin configurations of any coupling kinds and read out."""
+    return measure(run_pair_state(batch))
 
 
 def run_annihilation(config: ExperimentConfig) -> OutcomeDistribution:
     """Twin run whose overlapping ``u`` arms annihilate into ``gamma``."""
     if config.coupling.kind != "annihilation":
         raise ValueError(f"expected annihilation coupling, got {config.coupling.kind!r}")
-    return run_pair(config)
+    return run_pair(PairBatch.of(config)).row(0)
 
 
 def run_phase(config: ExperimentConfig) -> OutcomeDistribution:
     """Twin run whose overlapping ``v`` arms pick up a joint phase."""
     if config.coupling.kind != "phase":
         raise ValueError(f"expected phase coupling, got {config.coupling.kind!r}")
-    return run_pair(config)
+    return run_pair(PairBatch.of(config)).row(0)
 
 
 def dark_port_coefficient(bs: BeamSplitterParams, phi: float) -> complex:
@@ -189,11 +243,21 @@ def dark_port_coefficient(bs: BeamSplitterParams, phi: float) -> complex:
 
 
 def gravity_phase(params: GravityParams) -> float:
-    """Coupling phase acquired gravitationally: ``G m^2 L / (hbar d)``."""
-    return (
+    """Coupling phase acquired gravitationally: ``G m^2 L / (hbar d)``.
+
+    Raises ``ValueError`` when extreme inputs push ``hbar d`` to zero or the
+    phase out of the finite floats.
+    """
+    denominator = HBAR * params.separation_m
+    if not (math.isfinite(denominator) and denominator > 0.0):
+        raise ValueError(f"hbar * distance is not a positive finite float: {denominator!r}")
+    phase = (
         GRAVITATIONAL_CONSTANT
         * params.mass_kg
         * params.mass_kg
         * params.interaction_length_m
-        / (HBAR * params.separation_m)
+        / denominator
     )
+    if not math.isfinite(phase):
+        raise ValueError(f"gravitational phase is not finite: {phase!r}")
+    return phase

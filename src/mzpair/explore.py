@@ -2,9 +2,11 @@
 
 Everything here is driven by the simulated behavior, not by closed forms,
 so a sweep doubles as an end-to-end consistency exercise: the two
-mixed-placement inequality terms are asserted to vanish at every visited
-cell.  Optimization is a coarse scan followed by alternating golden-section
-passes, which keeps results bit-reproducible run to run.
+mixed-placement inequality terms are checked to vanish at every visited
+cell.  Grid points go through the engine in batches of at most
+``SCAN_BLOCK`` phases at one splitter ratio, each under all four detector
+settings.  Optimization is a coarse scan followed by alternating
+golden-section passes, which keeps results bit-reproducible run to run.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .experiments import Coupling, ExperimentConfig, run_phase
-from .state import BeamSplitterParams
+import numpy as np
+
+from .experiments import PairBatch, run_pair
+from .state import BeamSplitterParams, PipelineError
 
 __all__ = [
     "SweepGrid",
@@ -32,6 +36,11 @@ R_CLAMP_LO = 1e-3
 R_CLAMP_HI = 1.0 - 1e-3
 
 MIDDLE_TERM_TOL = 1e-12
+
+# Phases per engine batch.  With four settings each, a batch holds 200
+# states, 0.2 MB per amplitude array, whatever the grid size: larger batches
+# ran no faster on the default grid and raised peak memory by megabytes.
+SCAN_BLOCK = 50
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -85,33 +94,55 @@ class SweepCell:
     violation: float
 
 
-def _terms(bs: BeamSplitterParams, phi: float) -> tuple[float, float, float, float]:
-    """The four inequality terms at one point, from simulation."""
-    coupling = Coupling.phase(phi)
-    p_u1u2 = run_phase(ExperimentConfig(bs, coupling, u1=True, u2=True)).prob(("U", "U"))
-    mid1 = run_phase(ExperimentConfig(bs, coupling, u1=True, u2=False)).prob(("U", "D"))
-    mid2 = run_phase(ExperimentConfig(bs, coupling, u1=False, u2=True)).prob(("D", "U"))
-    p_c1c2 = run_phase(ExperimentConfig(bs, coupling, u1=False, u2=False)).prob(("C", "C"))
-    # The mixed-placement terms vanish identically for this setup; anything
-    # else indicates a broken pipeline, not an interesting parameter point.
-    assert mid1 <= MIDDLE_TERM_TOL and mid2 <= MIDDLE_TERM_TOL, (bs, phi, mid1, mid2)
+def check_middle_terms(r: float, phis, mid1: np.ndarray, mid2: np.ndarray) -> None:
+    """Raise :class:`PipelineError` unless both mixed-placement terms vanish.
+
+    They vanish identically for this setup; anything else indicates a
+    broken pipeline, not an interesting parameter point.
+    """
+    bad = np.flatnonzero(~((mid1 <= MIDDLE_TERM_TOL) & (mid2 <= MIDDLE_TERM_TOL)))
+    if len(bad):
+        k = bad[0]
+        raise PipelineError(
+            f"middle terms {float(mid1[k])!r}, {float(mid2[k])!r} exceed {MIDDLE_TERM_TOL} "
+            f"at r={r!r}, phi={float(phis[k])!r}"
+        )
+
+
+def _terms(bs: BeamSplitterParams, phis) -> tuple[np.ndarray, ...]:
+    """The four inequality terms at each phase in ``phis``, from simulation."""
+    n = len(phis)
+    dist = run_pair(PairBatch.phase_settings(bs, phis))
+    p_u1u2 = dist.prob(("U", "U"))[:n]
+    mid1 = dist.prob(("U", "D"))[n : 2 * n]
+    mid2 = dist.prob(("D", "U"))[2 * n : 3 * n]
+    p_c1c2 = dist.prob(("C", "C"))[3 * n :]
+    check_middle_terms(bs.r, phis, mid1, mid2)
     return p_u1u2, mid1, mid2, p_c1c2
 
 
 def violation_at(r: float, phi: float) -> float:
     """Simulated inequality violation at a single parameter point."""
-    p1, mid1, mid2, p4 = _terms(BeamSplitterParams.from_r(r), phi)
-    return p1 - mid1 - mid2 - p4
+    p1, mid1, mid2, p4 = _terms(BeamSplitterParams.from_r(r), [phi])
+    return float(p1[0] - mid1[0] - mid2[0] - p4[0])
+
+
+def _scan(r_values: list[float], phis: list[float]):
+    """Yield ``(r, phis, p_u1u2, p_c1c2, violation)`` blocks in row-major order."""
+    for r in r_values:
+        bs = BeamSplitterParams.from_r(r)
+        for start in range(0, len(phis), SCAN_BLOCK):
+            block = phis[start : start + SCAN_BLOCK]
+            p1, mid1, mid2, p4 = _terms(bs, block)
+            yield r, block, p1, p4, p1 - mid1 - mid2 - p4
 
 
 def sweep(grid: SweepGrid) -> list[SweepCell]:
     """Evaluate the grid row-major (r outer, phi inner)."""
     cells = []
-    for r in grid.r_values():
-        bs = BeamSplitterParams.from_r(r)
-        for phi in grid.phi_values():
-            p1, mid1, mid2, p4 = _terms(bs, phi)
-            cells.append(SweepCell(r, phi, p1, p4, p1 - mid1 - mid2 - p4))
+    for r, phis, p1, p4, v in _scan(grid.r_values(), grid.phi_values()):
+        for phi, p_u1u2, p_c1c2, violation in zip(phis, p1.tolist(), p4.tolist(), v.tolist()):
+            cells.append(SweepCell(r, phi, p_u1u2, p_c1c2, violation))
     return cells
 
 
@@ -175,14 +206,11 @@ def find_max_violation(grid: SweepGrid | None = None, refine_tol: float = 1e-8) 
     best_v = -math.inf
     evals = 0
     r_grid = [r for r in grid.r_values() if r_lo <= r <= r_hi]
-    for r in r_grid:
-        bs = BeamSplitterParams.from_r(r)
-        for phi in grid.phi_values():
-            p1, mid1, mid2, p4 = _terms(bs, phi)
-            evals += 1
-            v = p1 - mid1 - mid2 - p4
-            if v > best_v:
-                best_r, best_phi, best_v = r, phi, v
+    for r, phis, _, _, v in _scan(r_grid, grid.phi_values()):
+        evals += len(phis)
+        k = int(np.argmax(v))
+        if v[k] > best_v:
+            best_r, best_phi, best_v = r, phis[k], float(v[k])
 
     r_step = (grid.r_max - grid.r_min) / (grid.r_steps - 1)
     phi_step = (grid.phi_max - grid.phi_min) / (grid.phi_steps - 1)

@@ -1,7 +1,7 @@
-"""Independent dense-array reference for the sparse amplitude engine.
+"""Independent dense-matrix reference for the label-array amplitude engine.
 
 Everything here is implemented from the physical conventions alone, with
-full matrices over the complete label space and no sparsity tricks, so it
+full matrices over the complete label space and no slice tricks, so it
 can serve as a brute-force oracle for the package under test.  Keep this
 module free of imports from ``mzpair``.
 

@@ -20,6 +20,7 @@ from mzpair.bell import (
 from mzpair.experiments import (
     Coupling,
     ExperimentConfig,
+    PairBatch,
     ev_retest_efficiency,
     run_ev,
     run_pair,
@@ -55,10 +56,16 @@ def test_01_ev_dark_port():
 def test_02_annihilation_quadruple():
     start = time.perf_counter()
     bs = BeamSplitterParams.balanced()
-    plain = run_pair(ExperimentConfig(bs=bs, coupling=Coupling.annihilation()))
-    paired = run_pair(ExperimentConfig(bs=bs, coupling=Coupling.annihilation(), u1=True, u2=True))
-    minus_only = run_pair(ExperimentConfig(bs=bs, coupling=Coupling.annihilation(), u2=True))
-    plus_only = run_pair(ExperimentConfig(bs=bs, coupling=Coupling.annihilation(), u1=True))
+    coupling = Coupling.annihilation()
+    dist = run_pair(
+        PairBatch.of(
+            ExperimentConfig(bs=bs, coupling=coupling),
+            ExperimentConfig(bs=bs, coupling=coupling, u1=True, u2=True),
+            ExperimentConfig(bs=bs, coupling=coupling, u2=True),
+            ExperimentConfig(bs=bs, coupling=coupling, u1=True),
+        )
+    )
+    plain, paired, minus_only, plus_only = (dist.row(k) for k in range(4))
     worst = max(
         abs(plain.prob(("D", "D")) - 1.0 / 16.0),
         paired.prob(("U", "U")),
@@ -76,8 +83,13 @@ def test_02_annihilation_quadruple():
 def test_03_tuned_phase_point():
     start = time.perf_counter()
     bs = BeamSplitterParams.from_r_squared((2.0 - math.sqrt(2.0)) / 2.0)
-    dark = run_pair(ExperimentConfig(bs=bs, coupling=Coupling.phase(math.pi)))
-    loud = run_pair(ExperimentConfig(bs=bs, coupling=Coupling.phase(math.pi), u1=True, u2=True))
+    dist = run_pair(
+        PairBatch.of(
+            ExperimentConfig(bs=bs, coupling=Coupling.phase(math.pi)),
+            ExperimentConfig(bs=bs, coupling=Coupling.phase(math.pi), u1=True, u2=True),
+        )
+    )
+    dark, loud = dist.row(0), dist.row(1)
     p_cc = dark.prob(("C", "C"))
     p_uu = loud.prob(("U", "U"))
     closed_form = (3.0 - 2.0 * math.sqrt(2.0)) / 2.0
@@ -104,7 +116,7 @@ def test_04_middle_terms_vanish():
     elapsed = time.perf_counter() - start
     _report(
         "middle terms vanish",
-        worst < 1e-12 and elapsed < 5.0,
+        worst < 1e-12 and elapsed < 4.0,
         f"worst term {worst:.3e} on 50x50, {elapsed:.2f}s",
     )
 
@@ -117,7 +129,7 @@ def test_05_violation_optimum():
         abs(opt.violation_star - 0.0990) <= 1e-4
         and abs(opt.r_star - 0.58309) <= 1e-4
         and abs(opt.phi_star - math.pi) <= 1e-6
-        and elapsed < 30.0
+        and elapsed < 2.0
     )
     _report(
         "violation optimum",

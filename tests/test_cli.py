@@ -1,5 +1,6 @@
 """End-to-end command line tests: exit codes, golden bytes, schemas."""
 
+import hashlib
 import json
 import math
 
@@ -51,6 +52,12 @@ GOLDEN_PHASE = """\
   }
 }
 """
+
+# sha256 of the default-grid sweep CSV and of the default optimize report,
+# recorded before the amplitude engine was batched; a changed digest means a
+# changed summation order somewhere, not a new golden.
+SWEEP_DEFAULT_SHA256 = "a3ff2fe235aa7f3a193547a5ffa7958ac950b68a491419ddfd6104fb6aa46397"
+OPTIMIZE_DEFAULT_SHA256 = "1fcd5d94d7a2ded025a7b3aa2879ff9426362a1f44b1474d43277f3ea6e58dc6"
 
 PI_TEXT = "3.141592653589793"
 # sqrt((2 - sqrt(2)) / 2), the ratio that nulls the joint bright port at phi = pi
@@ -253,6 +260,14 @@ class TestSweep:
         assert code == 3
         assert err.startswith("i/o error:")
 
+    def test_default_grid_csv_is_pinned(self, capsys, tmp_path):
+        out_path = tmp_path / "default.csv"
+        data = run_json(capsys, ["sweep", "--out", str(out_path)])
+        raw = out_path.read_bytes()
+        assert data["outputs"]["rows"] == 200 * 200
+        assert len(raw) == 3_018_750
+        assert hashlib.sha256(raw).hexdigest() == SWEEP_DEFAULT_SHA256
+
     def test_bad_grid_exits_2(self, capsys, tmp_path):
         argv = ["sweep", "--r-min", "0.6", "--r-max", "0.5", "--out", str(tmp_path / "x.csv")]
         code, _, err = run_cli(capsys, argv)
@@ -269,6 +284,12 @@ class TestOptimize:
         assert abs(outputs["phi_star"] - math.pi) <= 1e-6
         assert outputs["at_boundary"] is False
         assert outputs["iterations"] > 0
+
+    def test_default_report_is_pinned(self, capsys):
+        code, out, err = run_cli(capsys, ["optimize"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["outputs"]["iterations"] == 40197
+        assert hashlib.sha256(out.encode()).hexdigest() == OPTIMIZE_DEFAULT_SHA256
 
     def test_bad_tolerance_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["optimize", "--refine-tol", "0"])
@@ -293,6 +314,22 @@ class TestGravity:
             capsys, ["gravity", "--mass", "2e-14", "--length", "1e-4", "--distance", "1e-6"]
         )
         assert math.isclose(double["outputs"]["phi"], 4.0 * single["outputs"]["phi"], rel_tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # hbar * distance underflows to 0
+            ["--mass", "1e300", "--length", "1e300", "--distance", "1e-300"],
+            # the phase overflows to inf
+            ["--mass", "1e200", "--length", "1e200", "--distance", "1e-10"],
+        ],
+    )
+    def test_extreme_floats_exit_2_without_traceback(self, capsys, flags):
+        code, out, err = run_cli(capsys, ["gravity"] + flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("mass", ["--mass=0", "--mass=-1e-14"])
     def test_nonpositive_mass_exits_2(self, capsys, mass):

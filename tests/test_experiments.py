@@ -11,6 +11,7 @@ from mzpair.experiments import (
     Coupling,
     ExperimentConfig,
     GravityParams,
+    PairBatch,
     dark_port_coefficient,
     ev_retest_efficiency,
     gravity_phase,
@@ -165,7 +166,7 @@ class TestPhasePair:
 
     def test_none_coupling_matches_zero_phase(self):
         bs = BeamSplitterParams.from_r(0.61)
-        plain = run_pair(ExperimentConfig(bs=bs, coupling=Coupling.none()))
+        plain = run_pair(PairBatch.of(ExperimentConfig(bs=bs, coupling=Coupling.none()))).row(0)
         phased = run_phase(self._config(bs, 0.0))
         keys = set(plain.probabilities) | set(phased.probabilities)
         for key in keys:
@@ -180,11 +181,16 @@ class TestPhasePair:
 class TestDarkPortCoefficient:
     def test_matches_simulated_joint_bright_amplitude(self):
         rng = random.Random(18)
-        for _ in range(100):
-            bs = BeamSplitterParams.from_r(rng.uniform(0.05, 0.95))
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            state = run_pair_state(ExperimentConfig(bs=bs, coupling=Coupling.phase(phi)))
-            assert abs(state.amplitude((C, C)) - dark_port_coefficient(bs, phi)) <= ATOL
+        configs = [
+            ExperimentConfig(
+                bs=BeamSplitterParams.from_r(rng.uniform(0.05, 0.95)),
+                coupling=Coupling.phase(rng.uniform(0.0, 2.0 * math.pi)),
+            )
+            for _ in range(100)
+        ]
+        state = run_pair_state(PairBatch.of(*configs))
+        for amp, config in zip(state.amplitude((C, C)), configs):
+            assert abs(amp - dark_port_coefficient(config.bs, config.coupling.phi)) <= ATOL
 
     def test_zero_phase_is_minus_one(self):
         rng = random.Random(19)
@@ -245,6 +251,17 @@ class TestGravityPhase:
     def test_rejects_nonpositive_inputs(self, kwargs):
         with pytest.raises(ValueError, match="positive"):
             GravityParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "mass, length, gap, message",
+        [
+            (1e300, 1e300, 1e-300, "hbar \\* distance"),
+            (1e200, 1e200, 1e-10, "not finite"),
+        ],
+    )
+    def test_rejects_float_underflow_and_overflow(self, mass, length, gap, message):
+        with pytest.raises(ValueError, match=message):
+            gravity_phase(GravityParams(mass, length, gap))
 
     def test_constants_pinned(self):
         assert GRAVITATIONAL_CONSTANT == 6.67430e-11

@@ -5,18 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from mzpair import explore
 from mzpair.bell import behavior_from_phase_setup, bell_violation
 from mzpair.experiments import Coupling, ExperimentConfig, dark_port_coefficient, run_phase
 from mzpair.explore import (
     DEFAULT_GRID,
+    MIDDLE_TERM_TOL,
     SweepGrid,
+    check_middle_terms,
     find_dark_port_tuning,
     find_max_violation,
     find_max_violation_at_phi,
     sweep,
     violation_at,
 )
-from mzpair.state import BeamSplitterParams
+from mzpair.state import BeamSplitterParams, PipelineError
 
 ATOL = 1e-12
 
@@ -106,6 +109,37 @@ def test_default_grid_argmax_lands_near_the_optimum():
     assert abs(best.violation - 0.0990) <= 2e-3
     assert abs(best.r - 0.58309) <= 0.01
     assert abs(best.phi - math.pi) <= 0.05
+
+
+class TestMiddleTermCheck:
+    PHIS = [0.5, 1.5, 2.5]
+
+    def test_vanishing_terms_pass(self):
+        zeros = np.zeros(3)
+        check_middle_terms(0.4, self.PHIS, zeros, np.full(3, MIDDLE_TERM_TOL))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nonzero_term_names_the_point(self, side):
+        terms = [np.zeros(3), np.zeros(3)]
+        terms[side][1] = 2.0 * MIDDLE_TERM_TOL
+        with pytest.raises(PipelineError, match="r=0.4, phi=1.5"):
+            check_middle_terms(0.4, self.PHIS, *terms)
+
+    def test_simulated_terms_go_through_the_check(self, monkeypatch):
+        real_run_pair = explore.run_pair
+
+        def leaky_run_pair(batch):
+            readout = real_run_pair(batch)
+            readout.prob(("U", "D"))[...] += 1e-9  # a view into the table
+            return readout
+
+        monkeypatch.setattr(explore, "run_pair", leaky_run_pair)
+        with pytest.raises(PipelineError, match="middle terms .* at r=0.5, phi=1.0"):
+            violation_at(0.5, 1.0)
+
+    def test_nan_term_fails(self):
+        with pytest.raises(PipelineError, match="phi=0.5"):
+            check_middle_terms(0.4, self.PHIS, np.array([math.nan, 0.0, 0.0]), np.zeros(3))
 
 
 class TestFindMaxViolation:
