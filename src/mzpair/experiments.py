@@ -56,6 +56,7 @@ _COUPLING_KINDS = ("none", "annihilation", "phase")
 
 # Detector placements (side 1, side 2); True when the in-arm detector is placed.
 SETTINGS = ((True, True), (True, False), (False, True), (False, False))
+_SETTING_COLUMNS = np.array(SETTINGS).T  # the u1 and u2 masks over SETTINGS
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class PairBatch:
         """Phase-coupled runs under every setting: row ``k * len(phis) + j``
         has the placements ``SETTINGS[k]`` and the phase ``phis[j]``."""
         phis = np.asarray(phis, dtype=float)
-        u1, u2 = np.repeat(np.array(SETTINGS), len(phis), axis=0).T
+        u1, u2 = np.repeat(_SETTING_COLUMNS, len(phis), axis=1)
         no_annihilation = np.zeros(len(u1), dtype=bool)
         return cls(bs, np.concatenate((phis,) * len(SETTINGS)), no_annihilation, u1, u2)
 

@@ -100,9 +100,9 @@ def check_middle_terms(r: float, phis, mid1: np.ndarray, mid2: np.ndarray) -> No
     They vanish identically for this setup; anything else indicates a
     broken pipeline, not an interesting parameter point.
     """
-    bad = np.flatnonzero(~((mid1 <= MIDDLE_TERM_TOL) & (mid2 <= MIDDLE_TERM_TOL)))
-    if len(bad):
-        k = bad[0]
+    within = np.maximum(mid1, mid2) <= MIDDLE_TERM_TOL  # False where either is NaN
+    if not within.all():
+        k = np.flatnonzero(~within)[0]
         raise PipelineError(
             f"middle terms {float(mid1[k])!r}, {float(mid2[k])!r} exceed {MIDDLE_TERM_TOL} "
             f"at r={r!r}, phi={float(phis[k])!r}"

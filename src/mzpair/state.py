@@ -95,6 +95,11 @@ class PipelineError(ValueError):
     """An operation was applied to a state it is not valid for."""
 
 
+def _all(condition) -> bool:
+    """Whether ``condition`` holds: a bool for shared floats, or every entry of an array."""
+    return bool(condition.all()) if isinstance(condition, np.ndarray) else bool(condition)
+
+
 @dataclass(frozen=True)
 class BeamSplitterParams:
     """Real splitter amplitudes with ``t**2 + r**2 = 1``, both strictly positive.
@@ -110,11 +115,11 @@ class BeamSplitterParams:
 
     def __post_init__(self) -> None:
         t, r = self.t, self.r
-        if not np.all((0.0 < t) & (t < 1.0) & (0.0 < r) & (r < 1.0)):
+        if not _all((0.0 < t) & (t < 1.0) & (0.0 < r) & (r < 1.0)):
             raise ValueError(
                 f"t and r must lie strictly inside (0, 1), got t={self.t!r}, r={self.r!r}"
             )
-        if not np.all(np.abs(t * t + r * r - 1.0) <= NORM_TOL):
+        if not _all(abs(t * t + r * r - 1.0) <= NORM_TOL):
             raise ValueError(
                 f"t^2 + r^2 must equal 1 within {NORM_TOL}, got t={self.t!r}, r={self.r!r}"
             )
@@ -134,6 +139,17 @@ class BeamSplitterParams:
     @classmethod
     def balanced(cls) -> "BeamSplitterParams":
         return cls.from_r_squared(0.5)
+
+    @functools.cached_property
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The splitter maps as the engine applies them to two-label slots.
+
+        ``(i r, t)`` takes ``s`` to ``(u, v)``; ``(r, i t)`` and ``(i t, r)``
+        take ``u`` and ``v`` to ``(c, d)``.  Each has shape (2, 1), or
+        (rows, 2, 1) for per-row parameters.
+        """
+        it = 1j * self.t
+        return _pair(1j * self.r, self.t), _pair(self.r, it), _pair(it, self.r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,10 +255,19 @@ class OutcomeDistribution:
 
 _LETTER = {C: "C", D: "D", ABSORBED: "U", EXPLODED: "exploded"}
 _LABEL_OF = {letter: label for label, letter in _LETTER.items()}
-# Order in which a readout row lists its outcomes, and so the order in which
-# marginals add them up: sinks first, then ports, as a pipeline with in-arm
-# detectors on the u arms first produces them.
+# (label indices, outcome) in the order a readout row lists its outcomes, and
+# so the order in which marginals add them up: sinks first, then ports, as a
+# pipeline with in-arm detectors on the u arms first produces them.
 _TERMINAL = (ABSORBED, EXPLODED, C, D)
+_ROW_OUTCOMES = tuple(
+    (
+        _INDEX[first],
+        _INDEX[second],
+        _LETTER[first] if second == NONE else (_LETTER[first], _LETTER[second]),
+    )
+    for first in _TERMINAL
+    for second in _TERMINAL + (NONE,)
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,20 +295,18 @@ class Readout:
         """One row's outcomes with nonzero probability, as an outcome table."""
         table = self.table[index].tolist()
         probs: dict[Outcome, float] = {}
-        for first in _TERMINAL:
-            for second in _TERMINAL + (NONE,):
-                p = table[_INDEX[first]][_INDEX[second]]
-                if p:
-                    letter = _LETTER[first]
-                    probs[letter if second == NONE else (letter, _LETTER[second])] = p
-        if self.gamma[index]:
-            probs["gamma"] = float(self.gamma[index])
+        for i, j, outcome in _ROW_OUTCOMES:
+            if table[i][j]:
+                probs[outcome] = table[i][j]
+        gamma = float(self.gamma[index])
+        if gamma:
+            probs["gamma"] = gamma
         return OutcomeDistribution(probs)
 
 
 def _prune(amps: np.ndarray) -> np.ndarray:
     """Zero, in place, every amplitude of magnitude below ``PRUNE_THRESHOLD``."""
-    np.putmask(amps, np.abs(amps) < PRUNE_THRESHOLD, 0.0)
+    amps[np.abs(amps) < PRUNE_THRESHOLD] = 0.0
     return amps
 
 
@@ -310,14 +333,18 @@ _INTERNAL_PAIR = _keys((U, V), (U, V), False)
 _TERMINAL_INPUT = _keys(_except(S, U, V), _except(S, U, V), True)
 
 
-def _require(state: JointState, allowed: frozenset[Key], message: str) -> None:
-    """Raise :class:`PipelineError` if any row has amplitude on a key outside ``allowed``."""
+def _require(state: JointState, allowed: frozenset[Key], message: str, particle: int = 0) -> None:
+    """Raise :class:`PipelineError` if any row has amplitude on a key outside ``allowed``.
+
+    ``message`` may name ``{particle}``; it is formatted only on failure.
+    """
     if state.support <= allowed:
         return
     for key in sorted(state.support - allowed, key=str):
         rows = np.flatnonzero(state.amplitude(key))
         if len(rows):
-            raise PipelineError(f"{message}, found key {key!r} in row {rows[0]}")
+            where = message.format(particle=particle)
+            raise PipelineError(f"{where}, found key {key!r} in row {rows[0]}")
 
 
 def _check_particle(particle: int) -> None:
@@ -360,6 +387,9 @@ def _labels(first: str, last: str) -> slice:
     return slice(_INDEX[first], _INDEX[last] + 1)
 
 
+_ON_S, _ON_UV, _ON_CD = _labels(S, S), _labels(U, V), _labels(C, D)
+
+
 def _pair(first, second) -> np.ndarray:
     """Coefficients for a two-label slot: shape (2, 1), or (rows, 2, 1) when per row."""
     return np.array([first, second], dtype=complex).T[..., None]
@@ -377,14 +407,15 @@ def apply_bs1(state: JointState, particle: int, params: BeamSplitterParams) -> J
     pipeline-order bug and raises :class:`PipelineError`.
     """
     _check_particle(particle)
-    _require(state, _BS1_INPUT[particle], f"first splitter expects particle {particle} on {S!r}")
+    message = "first splitter expects particle {particle} on 's'"
+    _require(state, _BS1_INPUT[particle], message, particle)
     support, span = _flow(state.support, particle, (S,), (U, V))
     amps = state.amps.copy()
     a = _facing(amps, particle)
-    s = a[:, _labels(S, S), span]
+    s = a[:, _ON_S, span]
     # Multiplying by i*r rounds each component once, exactly like
     # multiplying by i and then by r.
-    a[:, _labels(U, V), span] = _prune(s * _pair(1j * params.r, params.t))
+    a[:, _ON_UV, span] = _prune(s * params.coefficients[0])
     s[...] = 0.0
     return JointState(amps, state.gamma, support)
 
@@ -396,14 +427,15 @@ def apply_bs2(state: JointState, particle: int, params: BeamSplitterParams) -> J
     amplitude still on ``s`` means the first splitter was skipped and raises.
     """
     _check_particle(particle)
-    _require(state, _BS2_INPUT[particle], f"second splitter cannot act on particle {particle}")
+    message = "second splitter cannot act on particle {particle}"
+    _require(state, _BS2_INPUT[particle], message, particle)
     support, span = _flow(state.support, particle, (U, V), (C, D))
     amps = state.amps.copy()
     a = _facing(amps, particle)
-    uv, cd = a[:, _labels(U, V), span], a[:, _labels(C, D), span]
-    r, it = params.r, 1j * params.t
-    cd += uv[:, :1] * _pair(r, it)
-    cd += uv[:, 1:] * _pair(it, r)
+    uv, cd = a[:, _ON_UV, span], a[:, _ON_CD, span]
+    _, from_u, from_v = params.coefficients
+    cd += uv[:, :1] * from_u
+    cd += uv[:, 1:] * from_v
     _prune(cd)
     uv[...] = 0.0
     return JointState(amps, state.gamma, support)
@@ -423,11 +455,11 @@ def apply_phase_coupling(state: JointState, phi: float | np.ndarray) -> JointSta
     factor = np.exp(1j * phi)
     amps = state.amps.copy()
     vv = state.amplitude((V, V))
-    # The complex product written out, one rounding per real operation, so
-    # no fused multiply-add can change the last bit.
-    rotated = np.empty_like(vv)
-    rotated.real = vv.real * factor.real - vv.imag * factor.imag
-    rotated.imag = vv.real * factor.imag + vv.imag * factor.real
+    # vv * factor in two products by a purely real and a purely imaginary
+    # number, each exact to one rounding per component, so the sum has the
+    # bits of the textbook complex product; numpy's own complex product may
+    # fuse a multiply-add and change the last bit.
+    rotated = vv * factor.real + vv * (1j * factor.imag)
     amps[:, _INDEX[V], _INDEX[V]] = _prune(rotated)
     return JointState(amps, state.gamma, state.support)
 
@@ -445,12 +477,13 @@ def apply_annihilation_coupling(
     acting = _acting(state, rows)
     amps = state.amps.copy()
     uu = amps[:, _INDEX[U], _INDEX[U]]
-    moved = uu * acting  # the amplitude itself or 0, exactly
-    gamma = _prune(state.gamma + moved)
-    uu -= moved
+    gamma = state.gamma.copy()
+    np.add(gamma, uu, out=gamma, where=acting)
+    _prune(gamma)
+    np.copyto(uu, 0.0, where=acting)
     support = state.support
     if (U, U) in support:
-        support = (support - {(U, U)} if acting.all() else support) | {GAMMA}
+        support = (support - {(U, U)} if rows is None else support) | {GAMMA}
     return JointState(amps, gamma, support)
 
 
@@ -476,17 +509,18 @@ def apply_absorber(
     _require(
         state,
         _ABSORBER_INPUT[particle],
-        f"absorber expects particle {particle} between the splitters",
+        "absorber expects particle {particle} between the splitters",
+        particle,
     )
     acting = _acting(state, rows)
-    support, span = _flow(state.support, particle, (arm,), (sink,), bool(acting.all()))
+    support, span = _flow(state.support, particle, (arm,), (sink,), rows is None)
     amps = state.amps.copy()
     a = _facing(amps, particle)
     on_arm, in_sink = a[:, _INDEX[arm], span], a[:, _INDEX[sink], span]
-    moved = on_arm * acting[:, None]  # the amplitude itself or 0, exactly
-    in_sink += moved
+    acting = acting[:, None]
+    np.add(in_sink, on_arm, out=in_sink, where=acting)
     _prune(in_sink)
-    on_arm -= moved
+    np.copyto(on_arm, 0.0, where=acting)
     return JointState(amps, state.gamma, support)
 
 
@@ -502,11 +536,11 @@ def measure(state: JointState) -> Readout:
     g = state.gamma
     gamma = g.real * g.real + g.imag * g.imag
     total = table.sum(axis=(1, 2)) + gamma
-    off = np.abs(total - 1.0) > NORM_TOL
-    if off.any():
-        off = np.flatnonzero(off)
+    drift = np.abs(total - 1.0)
+    if drift.max(initial=0.0) > NORM_TOL:
+        row = int(drift.argmax())
         raise ValueError(
-            f"probabilities sum to {float(total[off[0]])!r} in row {off[0]}, "
+            f"probabilities sum to {float(total[row])!r} in row {row}, "
             f"expected 1 within {NORM_TOL}"
         )
     return Readout(table, gamma)
