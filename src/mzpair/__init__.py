@@ -7,6 +7,8 @@ sweeps with deterministic refinement, and the gravitationally induced
 coupling phase.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bell import (
     BehaviorTable,
     BellReport,
@@ -32,11 +34,9 @@ from .experiments import (
     dark_port_coefficient,
     ev_retest_efficiency,
     gravity_phase,
-    run_annihilation,
     run_ev,
     run_pair,
     run_pair_state,
-    run_phase,
 )
 from .explore import (
     DEFAULT_GRID,
@@ -65,53 +65,9 @@ from .state import (
 
 __version__ = "0.1.0"
 
+# Every public name imported above; the submodules these imports bind are not exported.
 __all__ = [
-    "BeamSplitterParams",
-    "JointState",
-    "OutcomeDistribution",
-    "PipelineError",
-    "Readout",
-    "apply_bs1",
-    "apply_bs2",
-    "apply_phase_coupling",
-    "apply_annihilation_coupling",
-    "apply_absorber",
-    "measure",
-    "Coupling",
-    "ExperimentConfig",
-    "GravityParams",
-    "PairBatch",
-    "GRAVITATIONAL_CONSTANT",
-    "HBAR",
-    "run_ev",
-    "ev_retest_efficiency",
-    "run_pair",
-    "run_pair_state",
-    "run_annihilation",
-    "run_phase",
-    "dark_port_coefficient",
-    "gravity_phase",
-    "BehaviorTable",
-    "BellReport",
-    "LocalStrategy",
-    "DeterministicStrategy",
-    "LhvMembership",
-    "HardyConstants",
-    "behavior_from_phase_setup",
-    "bell_violation",
-    "enumerate_deterministic_strategies",
-    "lhv_membership",
-    "logical_inequality",
-    "paradox_statement_probs",
-    "hardy_constants",
-    "SweepGrid",
-    "SweepCell",
-    "Optimum",
-    "DEFAULT_GRID",
-    "sweep",
-    "violation_at",
-    "find_max_violation",
-    "find_max_violation_at_phi",
-    "find_dark_port_tuning",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

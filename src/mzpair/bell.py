@@ -13,6 +13,11 @@ setting's outcomes.  On top of it live three views that must agree:
 
 ``!C`` (not-C) means the event {U, D} when the in-arm detector is placed and
 {D} when it is absent.
+
+A behavior is stored as its 25 admissible cells in the canonical order
+``CELLS``.  This module alone knows that layout: :func:`behavior_cells` reads
+the cells straight from a batched readout, and :func:`inequality_terms` is
+the one definition of the inequality, for a single behavior or a whole scan.
 """
 
 from __future__ import annotations
@@ -25,17 +30,20 @@ import numpy as np
 
 from .experiments import SETTINGS, PairBatch, run_pair
 from .simplex import solve_phase1
-from .state import BeamSplitterParams
+from .state import LABELS, BeamSplitterParams, Readout
 
 __all__ = [
     "SETTINGS",
+    "CELLS",
     "side_outcomes",
     "BehaviorTable",
     "BellReport",
     "LocalStrategy",
     "DeterministicStrategy",
     "LhvMembership",
+    "behavior_cells",
     "behavior_from_phase_setup",
+    "inequality_terms",
     "bell_violation",
     "enumerate_deterministic_strategies",
     "membership_system",
@@ -56,60 +64,98 @@ def side_outcomes(present: bool) -> tuple[str, ...]:
     return ("U", "C", "D") if present else ("C", "D")
 
 
-def _not_c(present: bool) -> tuple[str, ...]:
-    return ("U", "D") if present else ("D",)
+def _outcomes(setting: tuple[bool, bool]) -> list[tuple[str, str]]:
+    return [(o1, o2) for o1 in side_outcomes(setting[0]) for o2 in side_outcomes(setting[1])]
 
 
-@dataclass(frozen=True)
+# The canonical layout of a behavior: its 25 admissible (setting, outcome)
+# cells, setting by setting; _BLOCKS[setting] slices out one setting's cells.
+CELLS = tuple((setting, outcome) for setting in SETTINGS for outcome in _outcomes(setting))
+_CELL_INDEX = {cell: k for k, cell in enumerate(CELLS)}
+_SETTING_OF = [setting for setting, _ in CELLS]
+_BLOCKS = {
+    s: slice(_SETTING_OF.index(s), _SETTING_OF.index(s) + _SETTING_OF.count(s)) for s in SETTINGS
+}
+# Where a PairBatch.phase_settings readout holds each cell: the setting's row
+# block, then the outcome's place in a row's table.
+_CELL_SETTING = np.array([SETTINGS.index(setting) for setting in _SETTING_OF])
+_CELL_I, _CELL_J = np.array([Readout.index(outcome) for _, outcome in CELLS]).T
+_STRAY = np.ones((len(SETTINGS), len(LABELS), len(LABELS)), dtype=bool)
+_STRAY[_CELL_SETTING, _CELL_I, _CELL_J] = False
+# p(U1,U2), p(U1,!C2), p(!C1,U2), p(C1,C2); !C is {D} on a side whose detector is absent.
+_TERM_CELLS = [
+    _CELL_INDEX[((True, True), ("U", "U"))],
+    _CELL_INDEX[((True, False), ("U", "D"))],
+    _CELL_INDEX[((False, True), ("D", "U"))],
+    _CELL_INDEX[((False, False), ("C", "C"))],
+]
+
+
+def behavior_cells(readout: Readout) -> np.ndarray:
+    """Canonical cells of a :meth:`PairBatch.phase_settings` readout, one column per phase."""
+    blocks = readout.table.reshape(len(SETTINGS), -1, len(LABELS), len(LABELS))
+    return blocks[_CELL_SETTING, :, _CELL_I, _CELL_J]
+
+
+def inequality_terms(cells: np.ndarray) -> tuple:
+    """The four inequality terms and ``p1 - p2 - p3 - p4``, from canonical cells on axis 0."""
+    p1, p2, p3, p4 = (cells[k] for k in _TERM_CELLS)
+    return p1, p2, p3, p4, p1 - p2 - p3 - p4
+
+
+@dataclass(frozen=True, eq=False)
 class BehaviorTable:
-    """Joint outcome probabilities for every detector placement combination."""
+    """Joint outcome probabilities for every detector placement combination.
 
-    tables: dict[tuple[bool, bool], dict[tuple[str, str], float]]
+    ``cells[k]`` is the probability of ``CELLS[k]``.  Build one through
+    :meth:`from_tables` or :func:`behavior_from_phase_setup`, which check it:
+    each setting block is normalized, and the two marginals do not depend on
+    the far side's setting.
+    """
+
+    cells: np.ndarray
 
     @classmethod
     def from_tables(
         cls, tables: dict[tuple[bool, bool], dict[tuple[str, str], float]]
     ) -> "BehaviorTable":
-        """Validate and canonicalize raw per-setting tables.
-
-        Every admissible outcome is filled in (zero when missing), each
-        setting block must be normalized, and the two marginals must not
-        depend on the far side's setting.
-        """
-        full: dict[tuple[bool, bool], dict[tuple[str, str], float]] = {}
+        """Validate and canonicalize raw per-setting tables; a missing outcome is zero."""
         for setting in SETTINGS:
             if setting not in tables:
                 raise ValueError(f"missing table for setting {setting!r}")
-            raw = tables[setting]
-            complete: dict[tuple[str, str], float] = {}
-            for o1 in side_outcomes(setting[0]):
-                for o2 in side_outcomes(setting[1]):
-                    p = raw.get((o1, o2), 0.0)
-                    if p < -1e-15:
-                        raise ValueError(f"negative probability {p!r} at {setting}/{(o1, o2)}")
-                    complete[(o1, o2)] = max(p, 0.0)
-            for outcome, p in raw.items():
-                if outcome not in complete and p > 1e-15:
+            for outcome, p in tables[setting].items():
+                if (setting, outcome) not in _CELL_INDEX and p > 1e-15:
                     raise ValueError(f"outcome {outcome!r} impossible under setting {setting!r}")
-            total = sum(complete.values())
+        return cls._checked(np.array([tables[s].get(o, 0.0) for s, o in CELLS]))
+
+    @classmethod
+    def _checked(cls, cells: np.ndarray) -> "BehaviorTable":
+        k = int(np.argmax(cells < -1e-15))  # the first negative cell, if any
+        if cells[k] < -1e-15:
+            setting, outcome = CELLS[k]
+            raise ValueError(f"negative probability {float(cells[k])!r} at {setting}/{outcome}")
+        behavior = cls(np.maximum(cells, 0.0))
+        behavior.cells.setflags(write=False)
+        for setting, block in _BLOCKS.items():
+            total = sum(behavior.cells[block].tolist())
             if abs(total - 1.0) > TABLE_NORM_TOL:
                 raise ValueError(f"setting {setting!r} sums to {total!r}, expected 1")
-            full[setting] = complete
-        behavior = cls(full)
         residual = behavior.no_signaling_residual()
         if residual > NO_SIGNALING_TOL:
             raise ValueError(f"no-signaling violated: marginal shift {residual!r}")
         return behavior
 
     def prob(self, setting: tuple[bool, bool], outcome: tuple[str, str]) -> float:
-        return self.tables[setting].get(outcome, 0.0)
+        k = _CELL_INDEX.get((setting, outcome))
+        return 0.0 if k is None else float(self.cells[k])
 
     def marginal(self, side: int, own: bool, other: bool) -> dict[str, float]:
         """Distribution of one side's outcome, given both placements."""
         setting = (own, other) if side == 0 else (other, own)
         out = {o: 0.0 for o in side_outcomes(own)}
-        for (o1, o2), p in self.tables[setting].items():
-            out[o1 if side == 0 else o2] += p
+        block = _BLOCKS[setting]
+        for (_, outcome), p in zip(CELLS[block], self.cells[block].tolist()):
+            out[outcome[side]] += p
         return out
 
     def no_signaling_residual(self) -> float:
@@ -125,16 +171,15 @@ class BehaviorTable:
 
 def behavior_from_phase_setup(bs: BeamSplitterParams, phi: float) -> BehaviorTable:
     """Measure the phase-coupled pair under all four detector placements."""
-    dist = run_pair(PairBatch.phase_settings(bs, [phi]))
-    tables: dict[tuple[bool, bool], dict[tuple[str, str], float]] = {}
-    for row, setting in enumerate(SETTINGS):
-        table: dict[tuple[str, str], float] = {}
-        for outcome, p in dist.row(row).probabilities.items():
-            if not isinstance(outcome, tuple):
-                raise RuntimeError(f"joint sink {outcome!r} cannot occur in the phase setup")
-            table[outcome] = p
-        tables[setting] = table
-    return BehaviorTable.from_tables(tables)
+    readout = run_pair(PairBatch.phase_settings(bs, [phi]))
+    if readout.gamma.any():
+        raise RuntimeError("joint sink 'gamma' cannot occur in the phase setup")
+    stray = np.where(_STRAY, readout.table, 0.0)
+    if stray.max() > 1e-15:
+        k, i, j = np.unravel_index(stray.argmax(), stray.shape)
+        outcome = (LABELS[i], LABELS[j])
+        raise ValueError(f"outcome {outcome!r} impossible under setting {SETTINGS[k]!r}")
+    return BehaviorTable._checked(behavior_cells(readout)[:, 0])
 
 
 @dataclass(frozen=True)
@@ -154,11 +199,7 @@ class BellReport:
 
 def bell_violation(behavior: BehaviorTable, *, check_lhv: bool = True) -> BellReport:
     """Evaluate the four-term inequality; a positive violation rules out local models."""
-    p1 = behavior.prob((True, True), ("U", "U"))
-    p2 = sum(behavior.prob((True, False), ("U", o)) for o in _not_c(False))
-    p3 = sum(behavior.prob((False, True), (o, "U")) for o in _not_c(False))
-    p4 = behavior.prob((False, False), ("C", "C"))
-    violation = p1 - p2 - p3 - p4
+    p1, p2, p3, p4, violation = map(float, inequality_terms(behavior.cells))
     feasible = lhv_membership(behavior).feasible if check_lhv else None
     return BellReport(p1, p2, p3, p4, violation, feasible)
 
@@ -208,32 +249,28 @@ def enumerate_deterministic_strategies() -> tuple[DeterministicStrategy, ...]:
 
 
 def behavior_vector(behavior: BehaviorTable) -> np.ndarray:
-    """Flatten a behavior into the canonical constraint ordering."""
-    values = []
-    for setting in SETTINGS:
-        for o1 in side_outcomes(setting[0]):
-            for o2 in side_outcomes(setting[1]):
-                values.append(behavior.prob(setting, (o1, o2)))
-    return np.array(values)
+    """The behavior's cells in the canonical constraint ordering (read-only)."""
+    return behavior.cells
 
 
 @functools.cache
 def _strategy_matrix() -> np.ndarray:
     columns = [behavior_vector(s.behavior()) for s in enumerate_deterministic_strategies()]
-    return np.column_stack(columns)
+    A = np.vstack([np.column_stack(columns), np.ones(len(columns))])
+    A.setflags(write=False)
+    return A
 
 
 def membership_system(behavior: BehaviorTable) -> tuple[np.ndarray, np.ndarray]:
     """Equality system ``A w = b`` whose nonnegative solutions are local models.
 
-    Rows are the 25 outcome cells in canonical order plus an explicit
-    normalization row (redundant, kept for clarity of intent).
+    Rows are the 25 outcome cells in canonical order plus the normalization
+    row ``sum(w) = 1``.  The cell rows already imply it, so verdicts do not
+    depend on it, but it is part of the phase-1 objective: without it the
+    leftover mass reported as ``infeasibility`` changes.  ``A`` is shared
+    and read-only.
     """
-    A = _strategy_matrix()
-    b = behavior_vector(behavior)
-    A = np.vstack([A, np.ones(A.shape[1])])
-    b = np.append(b, 1.0)
-    return A, b
+    return _strategy_matrix(), np.append(behavior_vector(behavior), 1.0)
 
 
 @dataclass(frozen=True)
@@ -253,7 +290,12 @@ class LhvMembership:
 
 
 def lhv_membership(behavior: BehaviorTable, *, tol: float = FEASIBILITY_TOL) -> LhvMembership:
-    """Can a mixture of the 36 deterministic strategies reproduce this behavior?"""
+    """Can a mixture of the 36 deterministic strategies reproduce this behavior?
+
+    An infeasible verdict carries a Farkas certificate ``y`` with ``y.b > 0``
+    and ``y.A <= tol``, checked here; a certificate that fails raises
+    ``RuntimeError``.
+    """
     A, b = membership_system(behavior)
     result = solve_phase1(A, b, tol=tol)
     if result.feasible:
@@ -262,9 +304,11 @@ def lhv_membership(behavior: BehaviorTable, *, tol: float = FEASIBILITY_TOL) -> 
         return LhvMembership(
             True, tuple(weights), residual, result.objective, None, result.iterations
         )
-    return LhvMembership(
-        False, None, None, result.objective, tuple(result.certificate), result.iterations
-    )
+    y = result.certificate
+    yb, ya = float(y @ b), float(np.max(y @ A))
+    if not (yb > 0.0 and ya <= tol):
+        raise RuntimeError(f"Farkas certificate fails: y.b = {yb!r}, max(y.A) = {ya!r}")
+    return LhvMembership(False, None, None, result.objective, tuple(y), result.iterations)
 
 
 def logical_inequality(probabilities) -> float:

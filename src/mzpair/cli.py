@@ -271,13 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coupled Mach-Zehnder pair simulator: bomb tests, annihilation and "
         "phase couplings, Bell-type analysis, sweeps and optimization.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json",
-        action="store_true",
-        default=True,
-        help="emit a JSON report on stdout (default and only format)",
-    )
     degrees = argparse.ArgumentParser(add_help=False)
     degrees.add_argument(
         "--degrees", action="store_true", help="interpret angle flags as degrees"
@@ -285,21 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ev", parents=[common], help="single interferometer bomb test")
+    p = sub.add_parser("ev", help="single interferometer bomb test")
     p.add_argument("--r", type=float, required=True, help="first-splitter reflection amplitude")
     p.add_argument("--bomb", action="store_true", help="place the triggering bomb in arm u")
     p.set_defaults(func=cmd_ev)
 
-    p = sub.add_parser(
-        "annihilation", parents=[common], help="twin pair whose u arms annihilate"
-    )
+    p = sub.add_parser("annihilation", help="twin pair whose u arms annihilate")
     p.add_argument("--r", type=float, required=True, help="first-splitter reflection amplitude")
     p.add_argument("--place-u-plus", action="store_true", help="detector on the + side u arm")
     p.add_argument("--place-u-minus", action="store_true", help="detector on the - side u arm")
     p.set_defaults(func=cmd_annihilation)
 
     p = sub.add_parser(
-        "phase", parents=[common, degrees], help="twin pair with a joint phase on the v arms"
+        "phase", parents=[degrees], help="twin pair with a joint phase on the v arms"
     )
     p.add_argument("--r", type=float, required=True, help="first-splitter reflection amplitude")
     p.add_argument("--phi", type=float, required=True, help="coupling phase (radians)")
@@ -308,15 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phase)
 
     p = sub.add_parser(
-        "bell", parents=[common, degrees], help="four-term inequality and local-model test"
+        "bell", parents=[degrees], help="four-term inequality and local-model test"
     )
     p.add_argument("--r", type=float, required=True, help="first-splitter reflection amplitude")
     p.add_argument("--phi", type=float, required=True, help="coupling phase (radians)")
     p.set_defaults(func=cmd_bell)
 
-    p = sub.add_parser(
-        "sweep", parents=[common, degrees], help="grid sweep written as CSV"
-    )
+    p = sub.add_parser("sweep", parents=[degrees], help="grid sweep written as CSV")
     p.add_argument("--r-min", type=float, default=DEFAULT_GRID.r_min)
     p.add_argument("--r-max", type=float, default=DEFAULT_GRID.r_max)
     p.add_argument("--r-steps", type=int, default=DEFAULT_GRID.r_steps)
@@ -326,15 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser(
-        "optimize", parents=[common], help="locate the maximal inequality violation"
-    )
+    p = sub.add_parser("optimize", help="locate the maximal inequality violation")
     p.add_argument("--refine-tol", type=float, default=1e-8, help="refinement tolerance")
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser(
-        "gravity", parents=[common], help="coupling phase from a gravitational interaction"
-    )
+    p = sub.add_parser("gravity", help="coupling phase from a gravitational interaction")
     p.add_argument("--mass", type=float, required=True, help="particle mass in kg")
     p.add_argument("--length", type=float, required=True, help="interaction length in m")
     p.add_argument("--distance", type=float, required=True, help="arm separation in m")

@@ -43,8 +43,6 @@ __all__ = [
     "ev_retest_efficiency",
     "run_pair_state",
     "run_pair",
-    "run_annihilation",
-    "run_phase",
     "dark_port_coefficient",
     "gravity_phase",
 ]
@@ -215,20 +213,6 @@ def run_pair_state(batch: PairBatch) -> JointState:
 def run_pair(batch: PairBatch) -> Readout:
     """Run a batch of twin configurations of any coupling kinds and read out."""
     return measure(run_pair_state(batch))
-
-
-def run_annihilation(config: ExperimentConfig) -> OutcomeDistribution:
-    """Twin run whose overlapping ``u`` arms annihilate into ``gamma``."""
-    if config.coupling.kind != "annihilation":
-        raise ValueError(f"expected annihilation coupling, got {config.coupling.kind!r}")
-    return run_pair(PairBatch.of(config)).row(0)
-
-
-def run_phase(config: ExperimentConfig) -> OutcomeDistribution:
-    """Twin run whose overlapping ``v`` arms pick up a joint phase."""
-    if config.coupling.kind != "phase":
-        raise ValueError(f"expected phase coupling, got {config.coupling.kind!r}")
-    return run_pair(PairBatch.of(config)).row(0)
 
 
 def dark_port_coefficient(bs: BeamSplitterParams, phi: float) -> complex:

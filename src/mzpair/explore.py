@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bell import behavior_cells, inequality_terms
 from .experiments import PairBatch, run_pair
 from .state import BeamSplitterParams, PipelineError
 
@@ -110,21 +111,17 @@ def check_middle_terms(r: float, phis, mid1: np.ndarray, mid2: np.ndarray) -> No
 
 
 def _terms(bs: BeamSplitterParams, phis) -> tuple[np.ndarray, ...]:
-    """The four inequality terms at each phase in ``phis``, from simulation."""
-    n = len(phis)
-    dist = run_pair(PairBatch.phase_settings(bs, phis))
-    p_u1u2 = dist.prob(("U", "U"))[:n]
-    mid1 = dist.prob(("U", "D"))[n : 2 * n]
-    mid2 = dist.prob(("D", "U"))[2 * n : 3 * n]
-    p_c1c2 = dist.prob(("C", "C"))[3 * n :]
+    """``p_u1u2``, ``p_c1c2`` and the violation at each phase in ``phis``, from simulation."""
+    readout = run_pair(PairBatch.phase_settings(bs, phis))
+    p1, mid1, mid2, p4, violation = inequality_terms(behavior_cells(readout))
     check_middle_terms(bs.r, phis, mid1, mid2)
-    return p_u1u2, mid1, mid2, p_c1c2
+    return p1, p4, violation
 
 
 def violation_at(r: float, phi: float) -> float:
     """Simulated inequality violation at a single parameter point."""
-    p1, mid1, mid2, p4 = _terms(BeamSplitterParams.from_r(r), [phi])
-    return float(p1[0] - mid1[0] - mid2[0] - p4[0])
+    _, _, violation = _terms(BeamSplitterParams.from_r(r), [phi])
+    return float(violation[0])
 
 
 def _scan(r_values: list[float], phis: list[float]):
@@ -133,8 +130,7 @@ def _scan(r_values: list[float], phis: list[float]):
         bs = BeamSplitterParams.from_r(r)
         for start in range(0, len(phis), SCAN_BLOCK):
             block = phis[start : start + SCAN_BLOCK]
-            p1, mid1, mid2, p4 = _terms(bs, block)
-            yield r, block, p1, p4, p1 - mid1 - mid2 - p4
+            yield (r, block, *_terms(bs, block))
 
 
 def sweep(grid: SweepGrid) -> list[SweepCell]:

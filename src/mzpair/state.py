@@ -281,15 +281,21 @@ class Readout:
     table: np.ndarray
     gamma: np.ndarray
 
-    def prob(self, outcome: Outcome) -> np.ndarray:
-        """Per-row probability of an outcome, named as in :class:`OutcomeDistribution`."""
-        if outcome == "gamma":
-            return self.gamma
+    @staticmethod
+    def index(outcome: Outcome) -> tuple[int, int]:
+        """Indices ``(i, j)`` of an outcome other than ``"gamma"`` in ``table[row]``."""
         if isinstance(outcome, tuple):
             first, second = _LABEL_OF[outcome[0]], _LABEL_OF[outcome[1]]
         else:
             first, second = _LABEL_OF[outcome], NONE
-        return self.table[:, _INDEX[first], _INDEX[second]]
+        return _INDEX[first], _INDEX[second]
+
+    def prob(self, outcome: Outcome) -> np.ndarray:
+        """Per-row probability of an outcome, named as in :class:`OutcomeDistribution`."""
+        if outcome == "gamma":
+            return self.gamma
+        i, j = self.index(outcome)
+        return self.table[:, i, j]
 
     def row(self, index: int) -> OutcomeDistribution:
         """One row's outcomes with nonzero probability, as an outcome table."""

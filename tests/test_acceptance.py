@@ -24,7 +24,6 @@ from mzpair.experiments import (
     ev_retest_efficiency,
     run_ev,
     run_pair,
-    run_phase,
 )
 from mzpair.explore import SweepGrid, find_max_violation
 from mzpair.state import BeamSplitterParams
@@ -110,9 +109,9 @@ def test_04_middle_terms_vanish():
         bs = BeamSplitterParams.from_r(r)
         for phi in grid.phi_values():
             coupling = Coupling.phase(phi)
-            one = run_phase(ExperimentConfig(bs=bs, coupling=coupling, u1=True))
-            two = run_phase(ExperimentConfig(bs=bs, coupling=coupling, u2=True))
-            worst = max(worst, one.prob(("U", "D")), two.prob(("D", "U")))
+            one = run_pair(PairBatch.of(ExperimentConfig(bs=bs, coupling=coupling, u1=True)))
+            two = run_pair(PairBatch.of(ExperimentConfig(bs=bs, coupling=coupling, u2=True)))
+            worst = max(worst, one.row(0).prob(("U", "D")), two.row(0).prob(("D", "U")))
     elapsed = time.perf_counter() - start
     _report(
         "middle terms vanish",

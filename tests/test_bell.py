@@ -1,11 +1,13 @@
 """Tests for behaviors, the four-term inequality, and local-model membership."""
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
+from mzpair import bell
 from mzpair.bell import (
     FEASIBILITY_TOL,
     SETTINGS,
@@ -22,7 +24,7 @@ from mzpair.bell import (
     paradox_statement_probs,
     side_outcomes,
 )
-from mzpair.experiments import Coupling, ExperimentConfig, run_phase
+from mzpair.experiments import Coupling, ExperimentConfig, PairBatch, run_pair
 from mzpair.state import BeamSplitterParams
 
 ATOL = 1e-12
@@ -113,7 +115,7 @@ class TestSimulatedBehavior:
             config = ExperimentConfig(
                 bs=bs, coupling=Coupling.phase(phi), u1=setting[0], u2=setting[1]
             )
-            direct = run_phase(config)
+            direct = run_pair(PairBatch.of(config)).row(0)
             for side in (0, 1):
                 table = behavior.marginal(side, setting[side], setting[1 - side])
                 raw = direct.marginal(side)
@@ -244,6 +246,17 @@ class TestLhvMembership:
         assert y.shape == (26,)
         assert float(y @ b) > FEASIBILITY_TOL
         assert float(np.max(A.T @ y)) <= FEASIBILITY_TOL
+
+    def test_failing_certificate_raises(self, monkeypatch):
+        real_solve = bell.solve_phase1
+
+        def negated(A, b, **kwargs):
+            result = real_solve(A, b, **kwargs)
+            return dataclasses.replace(result, certificate=-result.certificate)
+
+        monkeypatch.setattr(bell, "solve_phase1", negated)
+        with pytest.raises(RuntimeError, match="Farkas certificate fails"):
+            lhv_membership(optimum_behavior())
 
 
 class TestLogicalInequality:

@@ -94,11 +94,6 @@ class TestGoldenOutput:
         _, second, _ = run_cli(capsys, ["bell", "--r", "0.4", "--phi", "2.0"])
         assert first == second
 
-    def test_json_flag_is_a_no_op(self, capsys):
-        _, plain, _ = run_cli(capsys, ["ev", "--r", "0.5", "--bomb"])
-        _, flagged, _ = run_cli(capsys, ["ev", "--r", "0.5", "--bomb", "--json"])
-        assert plain == flagged
-
     def test_output_round_trips_through_json(self, capsys):
         for argv in (
             ["ev", "--r", "0.5", "--bomb"],
@@ -209,6 +204,12 @@ class TestBell:
         assert outputs["lhv_infeasibility"] > 1e-9
         assert abs(outputs["qubit_paradox_max"] - 0.0902) <= 1e-4
         assert outputs["golden_identity_ok"] is True
+
+    def test_optimum_infeasibility_text(self, capsys):
+        # The phase-1 objective over the membership system, normalization row included.
+        code, out, _ = run_cli(capsys, ["bell", "--r", "0.5830902", "--phi", PI_TEXT])
+        assert code == 0
+        assert '\n    "lhv_infeasibility": 0.990105601877,\n' in out
 
     def test_uncoupled_point_is_local(self, capsys):
         data = run_json(capsys, ["bell", "--r", "0.3", "--phi", "0"])

@@ -15,11 +15,9 @@ from mzpair.experiments import (
     dark_port_coefficient,
     ev_retest_efficiency,
     gravity_phase,
-    run_annihilation,
     run_ev,
     run_pair,
     run_pair_state,
-    run_phase,
 )
 from mzpair.state import C, BeamSplitterParams
 
@@ -87,55 +85,52 @@ class TestRetestEfficiency:
 
 
 class TestAnnihilationPair:
-    def _config(self, bs, u1=False, u2=False):
-        return ExperimentConfig(bs=bs, coupling=Coupling.annihilation(), u1=u1, u2=u2)
+    def _run(self, bs, u1=False, u2=False):
+        config = ExperimentConfig(bs=bs, coupling=Coupling.annihilation(), u1=u1, u2=u2)
+        return run_pair(PairBatch.of(config)).row(0)
 
     def test_joint_dark_clicks_and_gamma(self):
         rng = random.Random(14)
         for _ in range(20):
             bs = BeamSplitterParams.from_r(rng.uniform(0.05, 0.95))
-            dist = run_annihilation(self._config(bs))
+            dist = self._run(bs)
             r_sq, t_sq = bs.r * bs.r, bs.t * bs.t
             assert abs(dist.prob(("D", "D")) - r_sq * r_sq * t_sq * t_sq) <= ATOL
             assert abs(dist.prob("gamma") - r_sq * r_sq) <= ATOL
             assert abs(dist.total() - 1.0) <= ATOL
 
     def test_balanced_sixteenth(self):
-        dist = run_annihilation(self._config(BeamSplitterParams.balanced()))
+        dist = self._run(BeamSplitterParams.balanced())
         assert abs(dist.prob(("D", "D")) - 1.0 / 16.0) <= ATOL
         assert abs(dist.prob("gamma") - 0.25) <= ATOL
 
     def test_detector_on_minus_shields_plus_dark_port(self):
         # A quiet in-arm detector on one side forbids the far dark port.
-        dist = run_annihilation(self._config(BeamSplitterParams.balanced(), u2=True))
+        dist = self._run(BeamSplitterParams.balanced(), u2=True)
         assert dist.prob(("D", "C")) + dist.prob(("D", "D")) <= ATOL
 
     def test_detector_on_plus_shields_minus_dark_port(self):
-        dist = run_annihilation(self._config(BeamSplitterParams.balanced(), u1=True))
+        dist = self._run(BeamSplitterParams.balanced(), u1=True)
         assert dist.prob(("C", "D")) + dist.prob(("D", "D")) <= ATOL
 
     def test_paired_detectors_never_both_fire(self):
         rng = random.Random(15)
         for _ in range(10):
             bs = BeamSplitterParams.from_r(rng.uniform(0.05, 0.95))
-            dist = run_annihilation(self._config(bs, u1=True, u2=True))
+            dist = self._run(bs, u1=True, u2=True)
             assert dist.prob(("U", "U")) == 0.0
             # each detector alone still fires at the surviving single-arm rate
             r_sq, t_sq = bs.r * bs.r, bs.t * bs.t
             assert abs(dist.marginal(0).get("U", 0.0) - r_sq * t_sq) <= ATOL
 
-    def test_rejects_wrong_coupling(self):
-        config = ExperimentConfig(bs=BeamSplitterParams.balanced(), coupling=Coupling.phase(1.0))
-        with pytest.raises(ValueError, match="expected annihilation"):
-            run_annihilation(config)
-
 
 class TestPhasePair:
-    def _config(self, bs, phi, u1=False, u2=False):
-        return ExperimentConfig(bs=bs, coupling=Coupling.phase(phi), u1=u1, u2=u2)
+    def _run(self, bs, phi, u1=False, u2=False):
+        config = ExperimentConfig(bs=bs, coupling=Coupling.phase(phi), u1=u1, u2=u2)
+        return run_pair(PairBatch.of(config)).row(0)
 
     def test_zero_phase_is_all_bright(self):
-        dist = run_phase(self._config(BeamSplitterParams.from_r(0.37), 0.0))
+        dist = self._run(BeamSplitterParams.from_r(0.37), 0.0)
         assert abs(dist.prob(("C", "C")) - 1.0) <= ATOL
 
     def test_joint_detector_rate_is_fourth_power(self):
@@ -143,7 +138,7 @@ class TestPhasePair:
         for _ in range(20):
             r = rng.uniform(0.05, 0.95)
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            dist = run_phase(self._config(BeamSplitterParams.from_r(r), phi, u1=True, u2=True))
+            dist = self._run(BeamSplitterParams.from_r(r), phi, u1=True, u2=True)
             assert abs(dist.prob(("U", "U")) - r**4) <= ATOL
 
     def test_firing_detector_forces_far_bright_port(self):
@@ -151,31 +146,26 @@ class TestPhasePair:
         for _ in range(10):
             r = rng.uniform(0.05, 0.95)
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            one = run_phase(self._config(BeamSplitterParams.from_r(r), phi, u1=True))
+            one = self._run(BeamSplitterParams.from_r(r), phi, u1=True)
             assert one.prob(("U", "D")) <= ATOL
-            two = run_phase(self._config(BeamSplitterParams.from_r(r), phi, u2=True))
+            two = self._run(BeamSplitterParams.from_r(r), phi, u2=True)
             assert two.prob(("D", "U")) <= ATOL
 
     def test_tuned_point_blocks_joint_bright_port(self):
         bs = BeamSplitterParams.from_r_squared(TUNED_R_SQUARED)
-        dark = run_phase(self._config(bs, math.pi))
+        dark = self._run(bs, math.pi)
         assert dark.prob(("C", "C")) <= ATOL
-        loud = run_phase(self._config(bs, math.pi, u1=True, u2=True))
+        loud = self._run(bs, math.pi, u1=True, u2=True)
         assert abs(loud.prob(("U", "U")) - TUNED_JOINT_PROB) <= ATOL
         assert abs(loud.prob(("U", "U")) - 0.0857) <= 5e-4
 
     def test_none_coupling_matches_zero_phase(self):
         bs = BeamSplitterParams.from_r(0.61)
         plain = run_pair(PairBatch.of(ExperimentConfig(bs=bs, coupling=Coupling.none()))).row(0)
-        phased = run_phase(self._config(bs, 0.0))
+        phased = self._run(bs, 0.0)
         keys = set(plain.probabilities) | set(phased.probabilities)
         for key in keys:
             assert abs(plain.prob(key) - phased.prob(key)) <= ATOL
-
-    def test_rejects_wrong_coupling(self):
-        config = ExperimentConfig(bs=BeamSplitterParams.balanced(), coupling=Coupling.none())
-        with pytest.raises(ValueError, match="expected phase"):
-            run_phase(config)
 
 
 class TestDarkPortCoefficient:
@@ -201,7 +191,8 @@ class TestDarkPortCoefficient:
     def test_probability_is_squared_magnitude(self):
         bs = BeamSplitterParams.from_r(0.52)
         phi = 2.31
-        dist = run_phase(ExperimentConfig(bs=bs, coupling=Coupling.phase(phi)))
+        config = ExperimentConfig(bs=bs, coupling=Coupling.phase(phi))
+        dist = run_pair(PairBatch.of(config)).row(0)
         assert abs(dist.prob(("C", "C")) - abs(dark_port_coefficient(bs, phi)) ** 2) <= ATOL
 
 

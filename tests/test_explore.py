@@ -1,13 +1,20 @@
 """Tests for sweeps, the refinement search, and dark-port tuning."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from mzpair import explore
 from mzpair.bell import behavior_from_phase_setup, bell_violation
-from mzpair.experiments import Coupling, ExperimentConfig, dark_port_coefficient, run_phase
+from mzpair.experiments import (
+    Coupling,
+    ExperimentConfig,
+    PairBatch,
+    dark_port_coefficient,
+    run_pair,
+)
 from mzpair.explore import (
     DEFAULT_GRID,
     MIDDLE_TERM_TOL,
@@ -95,11 +102,20 @@ class TestSweep:
                 assert cell.violation < 0.0
 
     def test_violation_at_matches_behavior_route(self):
-        r, phi = 0.58, 3.0
-        report = bell_violation(
-            behavior_from_phase_setup(BeamSplitterParams.from_r(r), phi), check_lhv=False
-        )
-        assert abs(violation_at(r, phi) - report.violation) <= ATOL
+        # One definition of the inequality: both routes give the same bits.
+        def report(r, phi):
+            behavior = behavior_from_phase_setup(BeamSplitterParams.from_r(r), phi)
+            return bell_violation(behavior, check_lhv=False)
+
+        rng = random.Random(33)
+        for _ in range(50):
+            r, phi = rng.uniform(0.05, 0.95), rng.uniform(-2.0 * math.pi, 4.0 * math.pi)
+            assert violation_at(r, phi) == report(r, phi).violation
+        for cell in sweep(self.GRID):
+            expected = report(cell.r, cell.phi)
+            assert cell.p_u1u2 == expected.p_u1u2
+            assert cell.p_c1c2 == expected.p_c1c2
+            assert cell.violation == expected.violation
 
 
 def test_default_grid_argmax_lands_near_the_optimum():
@@ -217,7 +233,8 @@ class TestDarkPortTuning:
         r = find_dark_port_tuning(math.pi)
         bs = BeamSplitterParams.from_r(r)
         assert abs(dark_port_coefficient(bs, math.pi)) ** 2 <= ATOL
-        dist = run_phase(ExperimentConfig(bs=bs, coupling=Coupling.phase(math.pi)))
+        config = ExperimentConfig(bs=bs, coupling=Coupling.phase(math.pi))
+        dist = run_pair(PairBatch.of(config)).row(0)
         assert dist.prob(("C", "C")) <= ATOL
 
     def test_odd_half_turns_work_too(self):

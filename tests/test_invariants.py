@@ -1,0 +1,85 @@
+"""Invariants of the code base itself, rather than of the physics.
+
+* ``dense_oracle`` stays an independent implementation: it imports nothing
+  from ``mzpair``, and no module of the package imports it.
+* Correctness checks raise explicitly, so they survive ``python -O``.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def imported_modules(path):
+    """Top-level names of every module a source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                names.add(".")  # relative to the importing file's package
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_dense_oracle_imports_nothing_from_the_package():
+    names = imported_modules(TESTS / "dense_oracle.py")
+    assert "mzpair" not in names
+    assert "." not in names
+
+
+def test_package_never_imports_the_oracle():
+    sources = sorted((SRC / "mzpair").glob("*.py"))
+    assert sources
+    for path in sources:
+        assert "dense_oracle" not in imported_modules(path), path.name
+
+
+OPTIMIZED_CHECKS = """
+import dataclasses, math
+import numpy as np
+from mzpair import bell, explore
+from mzpair.state import BeamSplitterParams, PipelineError
+
+assert False, "unreachable under -O"
+try:
+    explore.check_middle_terms(0.5, [1.0], np.array([1e-9]), np.zeros(1))
+except PipelineError:
+    print("middle terms checked")
+
+real_solve = bell.solve_phase1
+
+
+def negated(A, b, **kwargs):
+    result = real_solve(A, b, **kwargs)
+    return dataclasses.replace(result, certificate=-result.certificate)
+
+
+bell.solve_phase1 = negated
+behavior = bell.behavior_from_phase_setup(BeamSplitterParams.from_r(0.5830902), math.pi)
+try:
+    bell.lhv_membership(behavior)
+except RuntimeError:
+    print("certificate checked")
+"""
+
+
+def test_checks_survive_optimized_mode():
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n") == ["middle terms checked", "certificate checked", ""]
