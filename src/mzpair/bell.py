@@ -76,6 +76,22 @@ _SETTING_OF = [setting for setting, _ in CELLS]
 _BLOCKS = {
     s: slice(_SETTING_OF.index(s), _SETTING_OF.index(s) + _SETTING_OF.count(s)) for s in SETTINGS
 }
+# One row per side, own placement and letter: +1 on the cells whose sum is
+# that letter's marginal with the far detector placed, -1 with it absent.
+# _SHIFTS @ cells lists every marginal shift that no-signaling forbids.
+_SHIFTS = np.array(
+    [
+        [
+            (1.0 if setting[1 - side] else -1.0)
+            if setting[side] == own and outcome[side] == letter
+            else 0.0
+            for setting, outcome in CELLS
+        ]
+        for side in (0, 1)
+        for own in (True, False)
+        for letter in side_outcomes(own)
+    ]
+)
 # Where a PairBatch.phase_settings readout holds each cell: the setting's row
 # block, then the outcome's place in a row's table.
 _CELL_SETTING = np.array([SETTINGS.index(setting) for setting in _SETTING_OF])
@@ -109,8 +125,8 @@ class BehaviorTable:
 
     ``cells[k]`` is the probability of ``CELLS[k]``.  Build one through
     :meth:`from_tables` or :func:`behavior_from_phase_setup`, which check it:
-    each setting block is normalized, and the two marginals do not depend on
-    the far side's setting.
+    every cell is finite, each setting block is normalized, and the two
+    marginals do not depend on the far side's setting.
     """
 
     cells: np.ndarray
@@ -124,12 +140,16 @@ class BehaviorTable:
             if setting not in tables:
                 raise ValueError(f"missing table for setting {setting!r}")
             for outcome, p in tables[setting].items():
-                if (setting, outcome) not in _CELL_INDEX and p > 1e-15:
+                if (setting, outcome) not in _CELL_INDEX and not p <= 1e-15:
                     raise ValueError(f"outcome {outcome!r} impossible under setting {setting!r}")
         return cls._checked(np.array([tables[s].get(o, 0.0) for s, o in CELLS]))
 
     @classmethod
     def _checked(cls, cells: np.ndarray) -> "BehaviorTable":
+        k = int(np.argmin(np.isfinite(cells)))  # the first non-finite cell, if any
+        if not math.isfinite(cells[k]):
+            setting, outcome = CELLS[k]
+            raise ValueError(f"non-finite probability {float(cells[k])!r} at {setting}/{outcome}")
         k = int(np.argmax(cells < -1e-15))  # the first negative cell, if any
         if cells[k] < -1e-15:
             setting, outcome = CELLS[k]
@@ -160,13 +180,7 @@ class BehaviorTable:
 
     def no_signaling_residual(self) -> float:
         """Largest marginal shift caused by flipping the far side's setting."""
-        worst = 0.0
-        for side in (0, 1):
-            for own in (True, False):
-                near = self.marginal(side, own, True)
-                far = self.marginal(side, own, False)
-                worst = max(worst, max(abs(near[o] - far[o]) for o in near))
-        return worst
+        return float(np.abs(_SHIFTS @ self.cells).max())
 
 
 def behavior_from_phase_setup(bs: BeamSplitterParams, phi: float) -> BehaviorTable:
@@ -292,8 +306,9 @@ class LhvMembership:
 def lhv_membership(behavior: BehaviorTable, *, tol: float = FEASIBILITY_TOL) -> LhvMembership:
     """Can a mixture of the 36 deterministic strategies reproduce this behavior?
 
-    An infeasible verdict carries a Farkas certificate ``y`` with ``y.b > 0``
-    and ``y.A <= tol``, checked here; a certificate that fails raises
+    A feasible verdict carries weights ``w`` with ``max|A w - b| <= tol``; an
+    infeasible one carries a Farkas certificate ``y`` with ``y.b > 0`` and
+    ``y.A <= tol``.  Both are checked here, and one that fails raises
     ``RuntimeError``.
     """
     A, b = membership_system(behavior)
@@ -301,6 +316,8 @@ def lhv_membership(behavior: BehaviorTable, *, tol: float = FEASIBILITY_TOL) -> 
     if result.feasible:
         weights = result.x
         residual = float(np.max(np.abs(A @ weights - b)))
+        if not residual <= tol:
+            raise RuntimeError(f"local-model weights fail: max|A w - b| = {residual!r}")
         return LhvMembership(
             True, tuple(weights), residual, result.objective, None, result.iterations
         )

@@ -8,7 +8,17 @@ artificial mass is positive the dual prices form a Farkas-style certificate:
 y . b > 0 while y . A_j <= 0 for every column j.
 
 The systems solved here have a few dozen rows and columns, so a plain dense
-tableau is the simplest correct tool.
+tableau is the simplest correct tool.  The objective row is folded in as the
+tableau's last row, so each pivot is a handful of whole-array steps: one
+comparison and one ``argmax`` pick the entering column, the ratio test
+divides only in rows with a positive entry, and one rank-1 update clears
+the pivot column from every other row, the objective row included.
+
+That update skips the rows whose entry in the pivot column is zero.  There
+``row - 0 * pivot_row`` would change no value, but it can flip the sign of
+a zero (``-0.0 - 0.0`` is ``-0.0``, ``-0.0 - -0.0`` is ``0.0``), and such a
+sign reaches the printed infeasibility.  Skipping them keeps every entry,
+and so every returned byte, the same as a row-by-row elimination.
 """
 
 from __future__ import annotations
@@ -50,28 +60,32 @@ def solve_phase1(
     if np.any(b < 0.0):
         raise ValueError("phase-1 expects a nonnegative right-hand side")
 
-    # Tableau [A | I | b]; the objective row carries reduced costs and -objective.
-    tableau = np.hstack([A, np.eye(m), b.reshape(m, 1)])
-    zrow = np.concatenate([-A.sum(axis=0), np.zeros(m), [-b.sum()]])
+    # Tableau [A | I | b] above the objective row [reduced costs | -objective].
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = A
+    tableau[:m, n : n + m] = np.eye(m)
+    tableau[:m, -1] = b
+    tableau[m, :n] = -A.sum(axis=0)
+    tableau[m, -1] = -b.sum()
+    zrow = tableau[m, :-1]
     basis = list(range(n, n + m))
-    allowed = np.ones(n + m, dtype=bool)
+    # A column may enter while its reduced cost is below its floor; an
+    # artificial variable driven out gets a floor of -inf, so it never returns.
+    floor = np.full(n + m, -PIVOT_EPS)
 
     iterations = 0
     while True:
-        enter = -1
-        for j in range(n + m):  # Bland: the lowest eligible index enters
-            if allowed[j] and zrow[j] < -PIVOT_EPS:
-                enter = j
-                break
-        if enter < 0:
+        eligible = zrow < floor
+        enter = int(eligible.argmax())  # Bland: the lowest eligible index enters
+        if not eligible[enter]:
             break
 
+        column = tableau[:, enter]
         leave = -1
         best_ratio = np.inf
-        for i in range(m):
-            coeff = tableau[i, enter]
+        for i, (coeff, rhs) in enumerate(zip(column[:m].tolist(), tableau[:m, -1].tolist())):
             if coeff > PIVOT_EPS:
-                ratio = tableau[i, -1] / coeff
+                ratio = rhs / coeff
                 if ratio < best_ratio - PIVOT_EPS or (
                     abs(ratio - best_ratio) <= PIVOT_EPS
                     and (leave < 0 or basis[i] < basis[leave])
@@ -83,22 +97,21 @@ def solve_phase1(
             raise RuntimeError("phase-1 column unbounded; malformed input")
 
         tableau[leave] /= tableau[leave, enter]
-        pivot_row = tableau[leave]
-        for i in range(m):
-            if i != leave and tableau[i, enter] != 0.0:
-                tableau[i] -= tableau[i, enter] * pivot_row
-        zrow = zrow - zrow[enter] * pivot_row
+        update = column != 0.0
+        update[leave] = False
+        rank1 = np.multiply.outer(column, tableau[leave])
+        np.subtract(tableau, rank1, out=tableau, where=update[:, None])
 
         leaving_var = basis[leave]
         if leaving_var >= n:
-            allowed[leaving_var] = False
+            floor[leaving_var] = -np.inf
         basis[leave] = enter
 
         iterations += 1
         if iterations > max_iterations:
             raise RuntimeError("simplex failed to terminate")
 
-    objective = -zrow[-1]
+    objective = -tableau[m, -1]
     x = np.zeros(n)
     for i, var in enumerate(basis):
         if var < n:

@@ -82,6 +82,26 @@ class TestBehaviorTable:
         with pytest.raises(ValueError, match="impossible"):
             BehaviorTable.from_tables(tables)
 
+    def test_rejects_nan_impossible_outcome(self):
+        tables = self._product_tables()
+        tables[(False, True)][("U", "C")] = math.nan
+        with pytest.raises(ValueError, match="impossible"):
+            BehaviorTable.from_tables(tables)
+
+    def test_rejects_nan_cell(self):
+        tables = self._product_tables()
+        tables[(True, True)][("U", "U")] = math.nan
+        with pytest.raises(ValueError, match=r"non-finite probability nan at \(True, True\)/\('U', 'U'\)"):
+            BehaviorTable.from_tables(tables)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_rejects_infinite_cell(self, value):
+        tables = self._product_tables()
+        tables[(False, True)][("D", "C")] = value
+        tables[(False, False)][("C", "C")] = math.nan  # a later cell is not the one named
+        with pytest.raises(ValueError, match=rf"non-finite probability {value!r} at \(False, True\)"):
+            BehaviorTable.from_tables(tables)
+
     def test_rejects_unnormalized_block(self):
         tables = self._product_tables()
         tables[(True, True)][("C", "C")] += 0.2
@@ -98,8 +118,36 @@ class TestBehaviorTable:
         with pytest.raises(ValueError, match="no-signaling"):
             BehaviorTable.from_tables(tables)
 
+    def test_rejects_small_marginal_shift(self):
+        # side 1's marginal moves by 1e-6 when side 2's detector is removed;
+        # the block still sums to 1 and side 2's marginal stays put
+        tables = self._product_tables()
+        tables[(True, False)][("U", "C")] -= 1e-6
+        tables[(True, False)][("C", "C")] += 1e-6
+        with pytest.raises(ValueError, match="no-signaling violated: marginal shift 1"):
+            BehaviorTable.from_tables(tables)
+
+
+def dict_no_signaling_residual(behavior):
+    """The residual as the largest gap between two marginal dicts."""
+    worst = 0.0
+    for side in (0, 1):
+        for own in (True, False):
+            near = behavior.marginal(side, own, True)
+            far = behavior.marginal(side, own, False)
+            worst = max(worst, max(abs(near[o] - far[o]) for o in near))
+    return worst
+
 
 class TestSimulatedBehavior:
+    def test_no_signaling_residual_matches_the_marginals(self):
+        rng = random.Random(33)
+        for _ in range(200):
+            bs = BeamSplitterParams.from_r(rng.uniform(0.05, 0.95))
+            behavior = behavior_from_phase_setup(bs, rng.uniform(0.0, 2.0 * math.pi))
+            residual = behavior.no_signaling_residual()
+            assert abs(residual - dict_no_signaling_residual(behavior)) <= 1e-15
+
     def test_no_signaling_on_random_points(self):
         rng = random.Random(31)
         for _ in range(25):
@@ -257,6 +305,18 @@ class TestLhvMembership:
         monkeypatch.setattr(bell, "solve_phase1", negated)
         with pytest.raises(RuntimeError, match="Farkas certificate fails"):
             lhv_membership(optimum_behavior())
+
+    def test_failing_weights_raise(self, monkeypatch):
+        real_solve = bell.solve_phase1
+
+        def perturbed(A, b, **kwargs):
+            result = real_solve(A, b, **kwargs)
+            return dataclasses.replace(result, x=result.x + 1e-6)
+
+        monkeypatch.setattr(bell, "solve_phase1", perturbed)
+        behavior = behavior_from_phase_setup(BeamSplitterParams.from_r(0.3), 0.0)
+        with pytest.raises(RuntimeError, match=r"local-model weights fail: max\|A w - b\|"):
+            lhv_membership(behavior)
 
 
 class TestLogicalInequality:

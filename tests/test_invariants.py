@@ -1,7 +1,8 @@
 """Invariants of the code base itself, rather than of the physics.
 
-* ``dense_oracle`` stays an independent implementation: it imports nothing
-  from ``mzpair``, and no module of the package imports it.
+* ``dense_oracle`` and ``simplex_reference`` stay independent
+  implementations: they import nothing from ``mzpair``, and no module of the
+  package imports them.
 * Correctness checks raise explicitly, so they survive ``python -O``.
 """
 
@@ -31,17 +32,28 @@ def imported_modules(path):
     return names
 
 
-def test_dense_oracle_imports_nothing_from_the_package():
-    names = imported_modules(TESTS / "dense_oracle.py")
+REFERENCES = ("dense_oracle", "simplex_reference")
+
+
+def assert_independent(reference):
+    names = imported_modules(TESTS / f"{reference}.py")
     assert "mzpair" not in names
     assert "." not in names
+
+
+def test_dense_oracle_imports_nothing_from_the_package():
+    assert_independent("dense_oracle")
+
+
+def test_simplex_reference_imports_nothing_from_the_package():
+    assert_independent("simplex_reference")
 
 
 def test_package_never_imports_the_oracle():
     sources = sorted((SRC / "mzpair").glob("*.py"))
     assert sources
     for path in sources:
-        assert "dense_oracle" not in imported_modules(path), path.name
+        assert not set(REFERENCES) & imported_modules(path), path.name
 
 
 OPTIMIZED_CHECKS = """
@@ -64,12 +76,24 @@ def negated(A, b, **kwargs):
     return dataclasses.replace(result, certificate=-result.certificate)
 
 
+def perturbed(A, b, **kwargs):
+    result = real_solve(A, b, **kwargs)
+    return dataclasses.replace(result, x=result.x + 1e-6)
+
+
 bell.solve_phase1 = negated
 behavior = bell.behavior_from_phase_setup(BeamSplitterParams.from_r(0.5830902), math.pi)
 try:
     bell.lhv_membership(behavior)
 except RuntimeError:
     print("certificate checked")
+
+bell.solve_phase1 = perturbed
+behavior = bell.behavior_from_phase_setup(BeamSplitterParams.from_r(0.3), 0.0)
+try:
+    bell.lhv_membership(behavior)
+except RuntimeError:
+    print("weights checked")
 """
 
 
@@ -82,4 +106,9 @@ def test_checks_survive_optimized_mode():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n") == ["middle terms checked", "certificate checked", ""]
+    assert result.stdout.split("\n") == [
+        "middle terms checked",
+        "certificate checked",
+        "weights checked",
+        "",
+    ]
