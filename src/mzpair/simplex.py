@@ -15,10 +15,10 @@ divides only in rows with a positive entry, and one rank-1 update clears
 the pivot column from every other row, the objective row included.
 
 That update skips the rows whose entry in the pivot column is zero.  There
-``row - 0 * pivot_row`` would change no value, but it can flip the sign of
-a zero (``-0.0 - 0.0`` is ``-0.0``, ``-0.0 - -0.0`` is ``0.0``), and such a
-sign reaches the printed infeasibility.  Skipping them keeps every entry,
-and so every returned byte, the same as a row-by-row elimination.
+``row - 0 * pivot_row`` would change no value, but wherever ``0 * pivot_row``
+is ``-0.0`` it turns a ``-0.0`` entry into ``0.0``, and such a sign reaches
+``x`` and the printed infeasibility.  Skipping them keeps every entry, and
+so every returned byte, the same as a row-by-row elimination.
 """
 
 from __future__ import annotations

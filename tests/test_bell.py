@@ -91,7 +91,8 @@ class TestBehaviorTable:
     def test_rejects_nan_cell(self):
         tables = self._product_tables()
         tables[(True, True)][("U", "U")] = math.nan
-        with pytest.raises(ValueError, match=r"non-finite probability nan at \(True, True\)/\('U', 'U'\)"):
+        named = r"non-finite probability nan at \(True, True\)/\('U', 'U'\)"
+        with pytest.raises(ValueError, match=named):
             BehaviorTable.from_tables(tables)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
@@ -99,7 +100,8 @@ class TestBehaviorTable:
         tables = self._product_tables()
         tables[(False, True)][("D", "C")] = value
         tables[(False, False)][("C", "C")] = math.nan  # a later cell is not the one named
-        with pytest.raises(ValueError, match=rf"non-finite probability {value!r} at \(False, True\)"):
+        named = rf"non-finite probability {value!r} at \(False, True\)/\('D', 'C'\)"
+        with pytest.raises(ValueError, match=named):
             BehaviorTable.from_tables(tables)
 
     def test_rejects_unnormalized_block(self):
