@@ -53,6 +53,78 @@ GOLDEN_PHASE = """\
 }
 """
 
+GOLDEN_ANNIHILATION = """\
+{
+  "schema_version": "1",
+  "command": "annihilation",
+  "inputs": {
+    "r": 0.5,
+    "place_u_plus": true,
+    "place_u_minus": true
+  },
+  "outputs": {
+    "joint": {
+      "p_uplus_uminus": 0.0,
+      "p_uplus_cminus": 0.140625,
+      "p_uplus_dminus": 0.046875,
+      "p_cplus_uminus": 0.140625,
+      "p_cplus_cminus": 0.31640625,
+      "p_cplus_dminus": 0.10546875,
+      "p_dplus_uminus": 0.046875,
+      "p_dplus_cminus": 0.10546875,
+      "p_dplus_dminus": 0.03515625,
+      "p_gamma": 0.0625
+    },
+    "marginals": {
+      "p_uplus": 0.1875,
+      "p_cplus": 0.5625,
+      "p_dplus": 0.1875,
+      "p_uminus": 0.1875,
+      "p_cminus": 0.5625,
+      "p_dminus": 0.1875
+    }
+  }
+}
+"""
+
+# The fixed-phase search behind gravity: one phase pins r to the upper
+# edge, the other (phi near pi) lands on an interior optimum.
+GOLDEN_GRAVITY = """\
+{
+  "schema_version": "1",
+  "command": "gravity",
+  "inputs": {
+    "mass": 1e-14,
+    "length": 0.0001,
+    "distance": 1e-06
+  },
+  "outputs": {
+    "phi": 0.00632891937032,
+    "best_r": 0.95,
+    "violation_at_phi": -0.185493372846,
+    "at_boundary": true
+  }
+}
+"""
+
+GOLDEN_GRAVITY_NEAR_PI = """\
+{
+  "schema_version": "1",
+  "command": "gravity",
+  "inputs": {
+    "mass": 2.23e-13,
+    "length": 0.0001,
+    "distance": 1e-06
+  },
+  "outputs": {
+    "phi": 3.14730831366,
+    "best_r": 0.583090594387,
+    "violation_at_phi": 0.0990025284751,
+    "at_boundary": false
+  }
+}
+"""
+
 # sha256 of the default-grid sweep CSV and of the default optimize report,
 # recorded before the amplitude engine was batched; a changed digest means a
 # changed summation order somewhere, not a new golden.
@@ -88,6 +160,22 @@ class TestGoldenOutput:
         code, out, err = run_cli(capsys, ["phase", "--r", "0.5", "--phi", "0"])
         assert code == 0
         assert out == GOLDEN_PHASE
+
+    def test_annihilation_with_both_detectors(self, capsys):
+        argv = ["annihilation", "--r", "0.5", "--place-u-plus", "--place-u-minus"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        assert out == GOLDEN_ANNIHILATION
+
+    @pytest.mark.parametrize(
+        "mass, golden",
+        [("1e-14", GOLDEN_GRAVITY), ("2.23e-13", GOLDEN_GRAVITY_NEAR_PI)],
+    )
+    def test_gravity(self, capsys, mass, golden):
+        argv = ["gravity", "--mass", mass, "--length", "1e-4", "--distance", "1e-6"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        assert out == golden
 
     def test_repeat_runs_are_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, ["bell", "--r", "0.4", "--phi", "2.0"])
