@@ -41,11 +41,11 @@ from .experiments import (
 from .explore import (
     DEFAULT_GRID,
     Optimum,
-    SweepCell,
     SweepGrid,
     find_dark_port_tuning,
     find_max_violation,
     find_max_violation_at_phi,
+    first_max,
     sweep,
     violation_at,
 )

@@ -262,15 +262,15 @@ def enumerate_deterministic_strategies() -> tuple[DeterministicStrategy, ...]:
     return tuple(DeterministicStrategy(s1, s2) for s1 in locals_ for s2 in locals_)
 
 
-def behavior_vector(behavior: BehaviorTable) -> np.ndarray:
-    """The behavior's cells in the canonical constraint ordering (read-only)."""
-    return behavior.cells
-
-
 @functools.cache
 def _strategy_matrix() -> np.ndarray:
-    columns = [behavior_vector(s.behavior()) for s in enumerate_deterministic_strategies()]
-    A = np.vstack([np.column_stack(columns), np.ones(len(columns))])
+    """0/1 indicator of each strategy's outcome per cell, one column per strategy, plus ones."""
+    strategies = enumerate_deterministic_strategies()
+    rows = [
+        [(s.side1.outcome(placed[0]), s.side2.outcome(placed[1])) == outcome for s in strategies]
+        for placed, outcome in CELLS
+    ]
+    A = np.array(rows + [[True] * len(strategies)], dtype=float)
     A.setflags(write=False)
     return A
 
@@ -284,7 +284,7 @@ def membership_system(behavior: BehaviorTable) -> tuple[np.ndarray, np.ndarray]:
     leftover mass reported as ``infeasibility`` changes.  ``A`` is shared
     and read-only.
     """
-    return _strategy_matrix(), np.append(behavior_vector(behavior), 1.0)
+    return _strategy_matrix(), np.append(behavior.cells, 1.0)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ Exit codes: 0 on success, 2 for domain or flag errors, 3 for I/O errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -36,6 +37,7 @@ from .explore import (
     SweepGrid,
     find_max_violation,
     find_max_violation_at_phi,
+    first_max,
     sweep,
 )
 from .state import BeamSplitterParams
@@ -120,28 +122,35 @@ def cmd_ev(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _pair_outputs(dist, placed: tuple[bool, bool], suffixes: tuple[str, str]) -> dict:
+    """Joint and marginal outcome probabilities of a pair run, keyed ``p_<letter><suffix>``."""
+    joint = {
+        f"p_{o1.lower()}{suffixes[0]}_{o2.lower()}{suffixes[1]}": dist.prob((o1, o2))
+        for o1 in side_outcomes(placed[0])
+        for o2 in side_outcomes(placed[1])
+    }
+    marginals = {}
+    for side, (present, suffix) in enumerate(zip(placed, suffixes)):
+        table = dist.marginal(side)
+        for letter in side_outcomes(present):
+            marginals[f"p_{letter.lower()}{suffix}"] = table.get(letter, 0.0)
+    return {"joint": joint, "marginals": marginals}
+
+
 def cmd_annihilation(args: argparse.Namespace) -> int:
     bs = BeamSplitterParams.from_r(args.r)
     config = ExperimentConfig(
         bs=bs, coupling=Coupling.annihilation(), u1=args.place_u_plus, u2=args.place_u_minus
     )
     dist = run_pair(PairBatch.of(config)).row(0)
-    joint = {}
-    for o1 in side_outcomes(args.place_u_plus):
-        for o2 in side_outcomes(args.place_u_minus):
-            joint[f"p_{o1.lower()}plus_{o2.lower()}minus"] = dist.prob((o1, o2))
-    joint["p_gamma"] = dist.prob("gamma")
-    marginals = {}
-    for side, suffix, present in ((0, "plus", args.place_u_plus), (1, "minus", args.place_u_minus)):
-        table = dist.marginal(side)
-        for letter in side_outcomes(present):
-            marginals[f"p_{letter.lower()}{suffix}"] = table.get(letter, 0.0)
+    outputs = _pair_outputs(dist, (args.place_u_plus, args.place_u_minus), ("plus", "minus"))
+    outputs["joint"]["p_gamma"] = dist.prob("gamma")
     inputs = {
         "r": args.r,
         "place_u_plus": args.place_u_plus,
         "place_u_minus": args.place_u_minus,
     }
-    _emit("annihilation", inputs, {"joint": joint, "marginals": marginals})
+    _emit("annihilation", inputs, outputs)
     return EXIT_OK
 
 
@@ -152,22 +161,13 @@ def cmd_phase(args: argparse.Namespace) -> int:
         bs=bs, coupling=Coupling.phase(phi), u1=args.place_u1, u2=args.place_u2
     )
     dist = run_pair(PairBatch.of(config)).row(0)
-    joint = {}
-    for o1 in side_outcomes(args.place_u1):
-        for o2 in side_outcomes(args.place_u2):
-            joint[f"p_{o1.lower()}1_{o2.lower()}2"] = dist.prob((o1, o2))
-    marginals = {}
-    for side, present in ((0, args.place_u1), (1, args.place_u2)):
-        table = dist.marginal(side)
-        for letter in side_outcomes(present):
-            marginals[f"p_{letter.lower()}{side + 1}"] = table.get(letter, 0.0)
     inputs = {
         "r": args.r,
         "phi": phi,
         "place_u1": args.place_u1,
         "place_u2": args.place_u2,
     }
-    _emit("phase", inputs, {"joint": joint, "marginals": marginals})
+    _emit("phase", inputs, _pair_outputs(dist, (args.place_u1, args.place_u2), ("1", "2")))
     return EXIT_OK
 
 
@@ -193,6 +193,15 @@ def cmd_bell(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _written(handle, blocks):
+    """Pass scan ``blocks`` on, each after its CSV rows are written to ``handle``."""
+    for block in blocks:
+        r, phis, p1, p4, v = block
+        for row in zip(phis, p1.tolist(), p4.tolist(), v.tolist()):
+            handle.write(",".join(_format_real(x) for x in (r, *row)) + "\n")
+        yield block
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     phi_min = DEFAULT_GRID.phi_min if args.phi_min is None else _angle(args.phi_min, args.degrees)
     phi_max = DEFAULT_GRID.phi_max if args.phi_max is None else _angle(args.phi_max, args.degrees)
@@ -204,32 +213,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         phi_max=phi_max,
         phi_steps=args.phi_steps,
     )
-    cells = sweep(grid)
+    # The grid is checked before the file is opened, so a bad grid leaves an
+    # existing file alone; a scan that fails later leaves the rows written so far.
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(CSV_HEADER + "\n")
-        for cell in cells:
-            row = (cell.r, cell.phi, cell.p_u1u2, cell.p_c1c2, cell.violation)
-            handle.write(",".join(_format_real(v) for v in row) + "\n")
-    best = max(cells, key=lambda cell: cell.violation)
-    inputs = {
-        "r_min": grid.r_min,
-        "r_max": grid.r_max,
-        "r_steps": grid.r_steps,
-        "phi_min": grid.phi_min,
-        "phi_max": grid.phi_max,
-        "phi_steps": grid.phi_steps,
-        "out": str(args.out),
-    }
+        rows, best = first_max(_written(handle, sweep(grid)))
+    inputs = {**dataclasses.asdict(grid), "out": str(args.out)}
     outputs = {
-        "rows": len(cells),
+        "rows": rows,
         "out_path": str(args.out),
-        "argmax": {
-            "r": best.r,
-            "phi": best.phi,
-            "p_u1u2": best.p_u1u2,
-            "p_c1c2": best.p_c1c2,
-            "violation": best.violation,
-        },
+        "argmax": dict(zip(CSV_HEADER.split(","), best)),
     }
     _emit("sweep", inputs, outputs)
     return EXIT_OK

@@ -3,10 +3,12 @@
 Everything here is driven by the simulated behavior, not by closed forms,
 so a sweep doubles as an end-to-end consistency exercise: the two
 mixed-placement inequality terms are checked to vanish at every visited
-cell.  Grid points go through the engine in batches of at most
+cell.  Grid points go through the engine in blocks of at most
 ``SCAN_BLOCK`` phases at one splitter ratio, each under all four detector
-settings.  Optimization is a coarse scan followed by alternating
-golden-section passes, which keeps results bit-reproducible run to run.
+settings.  A sweep yields the blocks as they are computed and keeps none,
+so its memory does not grow with the grid; every scan picks its best cell
+with :func:`first_max`.  Optimization is a coarse scan followed by
+alternating golden-section passes, which keeps results bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from .state import BeamSplitterParams, PipelineError
 
 __all__ = [
     "SweepGrid",
-    "SweepCell",
     "Optimum",
     "DEFAULT_GRID",
     "sweep",
+    "first_max",
     "violation_at",
     "find_max_violation",
     "find_max_violation_at_phi",
@@ -86,15 +88,6 @@ DEFAULT_GRID = SweepGrid(
 )
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    r: float
-    phi: float
-    p_u1u2: float
-    p_c1c2: float
-    violation: float
-
-
 def check_middle_terms(r: float, phis, mid1: np.ndarray, mid2: np.ndarray) -> None:
     """Raise :class:`PipelineError` unless both mixed-placement terms vanish.
 
@@ -133,13 +126,28 @@ def _scan(r_values: list[float], phis: list[float]):
             yield (r, block, *_terms(bs, block))
 
 
-def sweep(grid: SweepGrid) -> list[SweepCell]:
-    """Evaluate the grid row-major (r outer, phi inner)."""
-    cells = []
-    for r, phis, p1, p4, v in _scan(grid.r_values(), grid.phi_values()):
-        for phi, p_u1u2, p_c1c2, violation in zip(phis, p1.tolist(), p4.tolist(), v.tolist()):
-            cells.append(SweepCell(r, phi, p_u1u2, p_c1c2, violation))
-    return cells
+def sweep(grid: SweepGrid):
+    """Yield the grid's ``(r, phis, p_u1u2, p_c1c2, violation)`` blocks row-major.
+
+    Each block is one splitter ratio, a list of at most ``SCAN_BLOCK``
+    phases (phi inner) and one array entry per phase.
+    """
+    yield from _scan(grid.r_values(), grid.phi_values())
+
+
+def first_max(blocks) -> tuple[int, tuple[float, float, float, float, float] | None]:
+    """Count the cells of scan ``blocks`` and find the one with the largest violation.
+
+    Returns the count and that cell as ``(r, phi, p_u1u2, p_c1c2, violation)``,
+    or ``None`` for no blocks.  Among equal violations the first cell wins.
+    """
+    cells, best = 0, None
+    for r, phis, p1, p4, v in blocks:
+        cells += len(phis)
+        k = int(np.argmax(v))  # the first maximum within the block
+        if best is None or v[k] > best[4]:
+            best = (r, phis[k], float(p1[k]), float(p4[k]), float(v[k]))
+    return cells, best
 
 
 @dataclass(frozen=True)
@@ -198,15 +206,13 @@ def find_max_violation(grid: SweepGrid | None = None, refine_tol: float = 1e-8) 
     r_hi = min(grid.r_max, R_CLAMP_HI)
     phi_lo, phi_hi = grid.phi_min, grid.phi_max
 
-    best_r = best_phi = None
-    best_v = -math.inf
-    evals = 0
     r_grid = [r for r in grid.r_values() if r_lo <= r <= r_hi]
-    for r, phis, _, _, v in _scan(r_grid, grid.phi_values()):
-        evals += len(phis)
-        k = int(np.argmax(v))
-        if v[k] > best_v:
-            best_r, best_phi, best_v = r, phis[k], float(v[k])
+    if not r_grid:
+        raise ValueError(
+            f"no grid row in [{grid.r_min!r}, {grid.r_max!r}] lies inside the "
+            f"searchable range [{R_CLAMP_LO!r}, {R_CLAMP_HI!r}]"
+        )
+    evals, (best_r, best_phi, _, _, best_v) = first_max(_scan(r_grid, grid.phi_values()))
 
     r_step = (grid.r_max - grid.r_min) / (grid.r_steps - 1)
     phi_step = (grid.phi_max - grid.phi_min) / (grid.phi_steps - 1)
@@ -278,16 +284,15 @@ def find_max_violation_at_phi(
         raise ValueError(f"need 0 < r_min < r_max < 1, got [{r_min!r}, {r_max!r}]")
     r_lo = max(r_min, R_CLAMP_LO)
     r_hi = min(r_max, R_CLAMP_HI)
+    if r_steps < 2 or r_lo > r_hi:
+        raise ValueError(
+            f"need r_steps >= 2 over a range that meets [{R_CLAMP_LO!r}, {R_CLAMP_HI!r}], "
+            f"got {r_steps!r} over [{r_min!r}, {r_max!r}]"
+        )
     step = (r_hi - r_lo) / (r_steps - 1)
 
-    best_r, best_v = r_lo, -math.inf
-    evals = 0
-    for i in range(r_steps):
-        r = r_lo + i * step
-        v = violation_at(r, phi)
-        evals += 1
-        if v > best_v:
-            best_r, best_v = r, v
+    r_grid = [r_lo + i * step for i in range(r_steps)]
+    evals, (best_r, _, _, _, best_v) = first_max(_scan(r_grid, [phi]))
 
     r_star, v_star, n = _golden_max(
         lambda rr: violation_at(rr, phi),

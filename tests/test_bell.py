@@ -14,7 +14,6 @@ from mzpair.bell import (
     BehaviorTable,
     LocalStrategy,
     behavior_from_phase_setup,
-    behavior_vector,
     bell_violation,
     enumerate_deterministic_strategies,
     hardy_constants,
@@ -218,7 +217,7 @@ class TestDeterministicStrategies:
     def test_thirty_six_distinct_behaviors(self):
         strategies = enumerate_deterministic_strategies()
         assert len(strategies) == 36
-        vectors = {tuple(behavior_vector(s.behavior())) for s in strategies}
+        vectors = {tuple(s.behavior().cells) for s in strategies}
         assert len(vectors) == 36
 
     def test_every_strategy_satisfies_the_inequality(self):
@@ -252,7 +251,14 @@ class TestMembershipSystem:
         assert np.all(A.sum(axis=0) == 5.0)
 
     def test_behavior_vector_length(self):
-        assert behavior_vector(optimum_behavior()).shape == (25,)
+        assert optimum_behavior().cells.shape == (25,)
+
+    def test_columns_are_the_strategy_behaviors(self):
+        A, _ = membership_system(optimum_behavior())
+        columns = [s.behavior().cells for s in enumerate_deterministic_strategies()]
+        expected = np.vstack([np.column_stack(columns), np.ones(len(columns))])
+        assert A.dtype == expected.dtype
+        assert A.tobytes() == expected.tobytes()
 
 
 class TestLhvMembership:

@@ -3,9 +3,11 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from mzpair import explore
 from mzpair.cli import CSV_HEADER, _to_json, main
 
 # Frozen byte-for-byte outputs; any serialization change must be deliberate.
@@ -362,6 +364,47 @@ class TestSweep:
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert err.startswith("error:")
+
+    def test_bad_grid_leaves_an_existing_file_alone(self, capsys, tmp_path):
+        out_path = tmp_path / "kept.csv"
+        out_path.write_bytes(b"earlier contents\n")
+        argv = ["sweep", "--r-min", "0.6", "--r-max", "0.5", "--out", str(out_path)]
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 2
+        assert out_path.read_bytes() == b"earlier contents\n"
+
+    def test_failed_scan_keeps_the_rows_written_so_far(self, capsys, tmp_path, monkeypatch):
+        real_run_pair = explore.run_pair
+
+        def leaky_run_pair(batch):
+            readout = real_run_pair(batch)
+            if batch.bs.r > 0.35:  # from the second r row on
+                readout.prob(("U", "D"))[...] += 1e-9  # a view into the table
+            return readout
+
+        monkeypatch.setattr(explore, "run_pair", leaky_run_pair)
+        out_path = tmp_path / "grid.csv"
+        code, out, err = run_cli(capsys, self.ARGS + ["--out", str(out_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: middle terms")
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.3"] * 4
+
+    def test_memory_does_not_grow_with_the_grid(self, capsys, tmp_path):
+        def peak(r_steps):
+            argv = ["sweep", "--r-steps", str(r_steps), "--phi-steps", "50"]
+            tracemalloc.start()
+            try:
+                code, _, _ = run_cli(capsys, argv + ["--out", str(tmp_path / "grid.csv")])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                assert code == 0
+
+        peak(3)  # fill the engine's caches first
+        assert peak(160) - peak(10) < 64 * 1024
 
 
 class TestOptimize:

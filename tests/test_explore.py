@@ -23,6 +23,7 @@ from mzpair.explore import (
     find_dark_port_tuning,
     find_max_violation,
     find_max_violation_at_phi,
+    first_max,
     sweep,
     violation_at,
 )
@@ -38,6 +39,15 @@ def closed_form_violation(r_squared):
     # x^2 - (x^2 + 2x(1-x) - (1-x)^2)^2 = x^2 - (2x^2 - 4x + 1)^2
     x = np.asarray(r_squared)
     return x * x - (2.0 * x * x - 4.0 * x + 1.0) ** 2
+
+
+def sweep_cells(grid):
+    """Every cell of ``sweep(grid)`` as ``(r, phi, p_u1u2, p_c1c2, violation)``, row-major."""
+    return [
+        (r, phi, *values)
+        for r, phis, p1, p4, v in sweep(grid)
+        for phi, *values in zip(phis, p1.tolist(), p4.tolist(), v.tolist())
+    ]
 
 
 class TestSweepGrid:
@@ -77,29 +87,33 @@ class TestSweep:
     GRID = SweepGrid(0.3, 0.7, 4, 0.0, 2.0 * math.pi, 5)
 
     def test_deterministic(self):
-        assert sweep(self.GRID) == sweep(self.GRID)
+        first, second = list(sweep(self.GRID)), list(sweep(self.GRID))
+        assert len(first) == len(second) == 4
+        for a, b in zip(first, second):
+            assert a[:2] == b[:2]
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a[2:], b[2:]))
 
     def test_row_major_ordering(self):
-        cells = sweep(self.GRID)
+        cells = sweep_cells(self.GRID)
         assert len(cells) == 20
         rs = self.GRID.r_values()
         phis = self.GRID.phi_values()
-        for i, cell in enumerate(cells):
-            assert cell.r == rs[i // 5]
-            assert cell.phi == phis[i % 5]
+        for i, (r, phi, *_) in enumerate(cells):
+            assert r == rs[i // 5]
+            assert phi == phis[i % 5]
 
     def test_cells_match_closed_forms(self):
-        for cell in sweep(self.GRID):
-            bs = BeamSplitterParams.from_r(cell.r)
-            assert abs(cell.p_u1u2 - cell.r**4) <= ATOL
-            assert abs(cell.p_c1c2 - abs(dark_port_coefficient(bs, cell.phi)) ** 2) <= ATOL
+        for r, phi, p_u1u2, p_c1c2, violation in sweep_cells(self.GRID):
+            bs = BeamSplitterParams.from_r(r)
+            assert abs(p_u1u2 - r**4) <= ATOL
+            assert abs(p_c1c2 - abs(dark_port_coefficient(bs, phi)) ** 2) <= ATOL
             # middle terms are already asserted tiny cell by cell
-            assert abs(cell.violation - (cell.p_u1u2 - cell.p_c1c2)) <= 3e-12
+            assert abs(violation - (p_u1u2 - p_c1c2)) <= 3e-12
 
     def test_zero_phase_never_violates(self):
-        for cell in sweep(self.GRID):
-            if cell.phi == 0.0:
-                assert cell.violation < 0.0
+        for _, phi, _, _, violation in sweep_cells(self.GRID):
+            if phi == 0.0:
+                assert violation < 0.0
 
     def test_violation_at_matches_behavior_route(self):
         # One definition of the inequality: both routes give the same bits.
@@ -111,20 +125,19 @@ class TestSweep:
         for _ in range(50):
             r, phi = rng.uniform(0.05, 0.95), rng.uniform(-2.0 * math.pi, 4.0 * math.pi)
             assert violation_at(r, phi) == report(r, phi).violation
-        for cell in sweep(self.GRID):
-            expected = report(cell.r, cell.phi)
-            assert cell.p_u1u2 == expected.p_u1u2
-            assert cell.p_c1c2 == expected.p_c1c2
-            assert cell.violation == expected.violation
+        for r, phi, p_u1u2, p_c1c2, violation in sweep_cells(self.GRID):
+            expected = report(r, phi)
+            assert p_u1u2 == expected.p_u1u2
+            assert p_c1c2 == expected.p_c1c2
+            assert violation == expected.violation
 
 
 def test_default_grid_argmax_lands_near_the_optimum():
-    cells = sweep(DEFAULT_GRID)
-    assert len(cells) == 200 * 200
-    best = max(cells, key=lambda cell: cell.violation)
-    assert abs(best.violation - 0.0990) <= 2e-3
-    assert abs(best.r - 0.58309) <= 0.01
-    assert abs(best.phi - math.pi) <= 0.05
+    count, (r, phi, _, _, violation) = first_max(sweep(DEFAULT_GRID))
+    assert count == 200 * 200
+    assert abs(violation - 0.0990) <= 2e-3
+    assert abs(r - 0.58309) <= 0.01
+    assert abs(phi - math.pi) <= 0.05
 
 
 class TestMiddleTermCheck:
@@ -171,7 +184,7 @@ class TestFindMaxViolation:
 
     def test_never_below_the_coarse_scan(self):
         opt = find_max_violation(self.GRID)
-        coarse_best = max(cell.violation for cell in sweep(self.GRID))
+        _, (_, _, _, _, coarse_best) = first_max(sweep(self.GRID))
         assert opt.violation_star >= coarse_best - 1e-15
 
     def test_reported_value_matches_reported_point(self):
@@ -189,6 +202,14 @@ class TestFindMaxViolation:
     def test_rejects_bad_refine_tol(self, tol):
         with pytest.raises(ValueError, match="refine_tol"):
             find_max_violation(self.GRID, refine_tol=tol)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [SweepGrid(1e-5, 5e-4, 3, 0.0, 1.0, 3), SweepGrid(1e-4, 0.9995, 2, 0.0, 1.0, 3)],
+    )
+    def test_rejects_a_grid_without_a_searchable_row(self, grid):
+        with pytest.raises(ValueError, match=rf"\[{grid.r_min!r}, {grid.r_max!r}\]"):
+            find_max_violation(grid)
 
 
 class TestFixedPhaseRefinement:
@@ -221,6 +242,21 @@ class TestFixedPhaseRefinement:
             find_max_violation_at_phi(math.pi, refine_tol=0.0)
         with pytest.raises(ValueError, match="r_min"):
             find_max_violation_at_phi(math.pi, r_min=0.9, r_max=0.2)
+
+    @pytest.mark.parametrize("r_steps", [1, 0, -3])
+    def test_rejects_too_few_steps(self, r_steps):
+        with pytest.raises(ValueError, match=rf"got {r_steps} over \[0.05, 0.95\]"):
+            find_max_violation_at_phi(math.pi, r_steps=r_steps)
+
+    @pytest.mark.parametrize("r_min, r_max", [(1e-5, 5e-4), (0.9995, 0.9999)])
+    def test_rejects_a_range_outside_the_clamp(self, r_min, r_max):
+        with pytest.raises(ValueError, match=rf"got 200 over \[{r_min!r}, {r_max!r}\]"):
+            find_max_violation_at_phi(math.pi, r_min=r_min, r_max=r_max)
+
+    def test_range_inside_the_clamp_keeps_its_optimum_inside(self):
+        opt = find_max_violation_at_phi(math.pi, r_min=0.2, r_max=0.3, r_steps=7)
+        assert 0.2 <= opt.r_star <= 0.3
+        assert opt.iterations > 7
 
 
 class TestDarkPortTuning:

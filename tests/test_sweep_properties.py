@@ -1,0 +1,86 @@
+"""Property tests of the streamed sweep: CSV rows, terms and the running argmax.
+
+Hypothesis runs derandomized, so every run draws the same examples.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from mzpair.bell import behavior_from_phase_setup, bell_violation  # noqa: E402
+from mzpair.cli import CSV_HEADER, _format_real, main  # noqa: E402
+from mzpair.explore import SweepGrid, first_max, sweep, violation_at  # noqa: E402
+from mzpair.state import BeamSplitterParams  # noqa: E402
+
+
+@st.composite
+def grids(draw):
+    r_min = draw(st.floats(0.01, 0.9))
+    r_max = draw(st.floats(r_min + 1e-3, 0.99))
+    phi_min = draw(st.floats(-7.0, 7.0))
+    phi_max = draw(st.floats(phi_min + 1e-3, phi_min + 14.0))
+    # up to 60 phases, so a row can span two scan blocks
+    return SweepGrid(
+        r_min, r_max, draw(st.integers(2, 3)), phi_min, phi_max, draw(st.integers(2, 60))
+    )
+
+
+def run_sweep(grid):
+    """Stdout report and CSV lines of ``mzpair sweep`` over ``grid``, run in-process."""
+    argv = [
+        "sweep",
+        f"--r-min={grid.r_min!r}", f"--r-max={grid.r_max!r}", f"--r-steps={grid.r_steps}",
+        f"--phi-min={grid.phi_min!r}", f"--phi-max={grid.phi_max!r}",
+        f"--phi-steps={grid.phi_steps}",
+    ]  # fmt: skip
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv + ["--out", path]) == 0
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = handle.read().split("\n")
+    return json.loads(stdout.getvalue())["outputs"], lines
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(grids())
+def test_streamed_rows_match_single_point_evaluations(grid):
+    cells = []
+    for r in grid.r_values():
+        for phi in grid.phi_values():
+            behavior = behavior_from_phase_setup(BeamSplitterParams.from_r(r), phi)
+            report = bell_violation(behavior, check_lhv=False)
+            violation = violation_at(r, phi)
+            assert violation == report.violation
+            cells.append((r, phi, report.p_u1u2, report.p_c1c2, violation))
+    best = max(cells, key=lambda cell: cell[4])  # the first maximum
+
+    assert first_max(sweep(grid)) == (len(cells), best)
+    outputs, lines = run_sweep(grid)
+    rows = [",".join(_format_real(x) for x in cell) for cell in cells]
+    assert lines == [CSV_HEADER, *rows, ""]
+    assert outputs["rows"] == len(cells)
+    argmax = dict(zip(CSV_HEADER.split(","), (float(_format_real(x)) for x in best)))
+    assert outputs["argmax"] == argmax
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=6), max_size=6))
+def test_first_max_keeps_the_first_of_equal_maxima(rows):
+    # Small integers make ties within and across blocks common.
+    blocks, cells = [], []
+    for i, values in enumerate(rows):
+        r, phis, v = 0.1 * i, [float(j) for j in range(len(values))], np.array(values, float)
+        blocks.append((r, phis, v + 1.0, v - 1.0, v))
+        cells += [(r, phi, x + 1.0, x - 1.0, float(x)) for phi, x in zip(phis, values)]
+    assert first_max(blocks) == (len(cells), max(cells, key=lambda cell: cell[4], default=None))
