@@ -105,8 +105,18 @@ def _emit(command: str, inputs: dict, outputs: dict) -> None:
     sys.stdout.write(_to_json(report) + "\n")
 
 
+# A phase whose float spacing exceeds this carries no usable phase: at 2**25
+# radians and beyond, neighbouring floats lie over 2*pi*1e-9 apart.
+PHASE_ULP_LIMIT = 2.0 * math.pi * 1e-9
+
+
 def _angle(value: float, degrees: bool) -> float:
-    return math.radians(value) if degrees else value
+    phi = math.radians(value) if degrees else value
+    if math.ulp(phi) > PHASE_ULP_LIMIT:
+        raise ValueError(
+            f"phase {phi!r} is too large to resolve: its float spacing exceeds 2*pi*1e-9"
+        )
+    return phi
 
 
 def cmd_ev(args: argparse.Namespace) -> int:

@@ -1,12 +1,13 @@
 """Exact-amplitude engine for batches of one- and two-particle interferometer states.
 
-A state is a batch of label arrays.  Each particle sits on one per-particle
+A state is a batch of key columns.  Each particle sits on one per-particle
 label (source ``s``, internal arms ``u``/``v``, detector ports ``c``/``d``,
-or an absorbing sink), and ``amps[row, i, j]`` holds the complex amplitude of
-particle 0 on ``LABELS[i]`` and particle 1 on ``LABELS[j]``.  Single-particle
-states keep particle 1 on the ``NONE`` placeholder.  A pair that annihilates
-jointly occupies the ``gamma`` sink, one complex scalar per row.  A single
-run is a batch of one.
+or an absorbing sink); a key is a label pair, particle 0's label then
+particle 1's, or the ``gamma`` sink that a pair which annihilates jointly
+occupies.  ``amps[row, k]`` holds the complex amplitude of ``keys[k]``, and
+only the keys that can hold amplitude are listed: a phase-setup pipeline
+never needs more than 9.  Single-particle states keep particle 1 on the
+``NONE`` placeholder.  A single run is a batch of one.
 
 Conventions are fixed once so downstream golden values stay reproducible:
 
@@ -18,15 +19,17 @@ Conventions are fixed once so downstream golden values stay reproducible:
   particle to ``c`` and leaves ``d`` dark;
 * free propagation phases along the arms are absorbed into the labels.
 
-Every operation updates a few label slices elementwise, with the products
-and sums a per-amplitude evaluation would make, in the same order; there are
-no matrix products, so a row's bits do not depend on the batch it ran in.
-Amplitudes below ``PRUNE_THRESHOLD`` are zeroed after every operation:
-exactly cancelling paths leave rounding residue (5.55e-17 on the ``(c, d)``
-amplitude at r = 0.5, phi = 0) that would otherwise print as a 3e-33
-probability where the exact answer is 0.  An operation applied out of
-pipeline order finds nonzero amplitude on a label it cannot act on and
-raises :class:`PipelineError`.
+Every operation looks up a plan, cached per key tuple, of the columns it
+moves and carries over.  It gathers the moved columns, forms the products
+and sums a per-amplitude evaluation would make, in the same order, and
+concatenates them with the carried columns; there are no matrix products,
+so a row's bits do not depend on the batch it ran in.  Amplitudes below
+``PRUNE_THRESHOLD`` are zeroed after every operation: exactly cancelling
+paths leave rounding residue (5.55e-17 on the ``(c, d)`` amplitude at
+r = 0.5, phi = 0) that would otherwise print as a 3e-33 probability where
+the exact answer is 0.  An operation applied out of pipeline order finds
+nonzero amplitude on a key it cannot act on and raises
+:class:`PipelineError`.
 
 All transformations are pure functions returning new states; nothing here
 holds shared mutable state.
@@ -37,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,33 +158,27 @@ class BeamSplitterParams:
 
 @dataclass(frozen=True, eq=False)
 class JointState:
-    """A batch of joint states: label-pair amplitudes plus the ``gamma`` sink.
+    """A batch of joint states as key columns.
 
-    ``amps`` has shape ``(rows, len(LABELS), len(LABELS))`` and ``gamma``
-    shape ``(rows,)``, both complex.  ``support`` holds every key, a label
-    pair or ``GAMMA``, that may carry amplitude in some row.  Operations
-    track it from the keys they move, so it can over-cover where pruning
-    zeroed a key; the pipeline-order checks and the operations use it to
-    skip keys that are certainly empty.  Treat all three as read-only;
-    operations always build a fresh state.
+    ``amps`` has shape ``(rows, len(keys))``, complex; column ``k`` holds the
+    amplitude of ``keys[k]``, a label pair or ``GAMMA``, and every other key
+    has amplitude 0.  Operations derive the keys from the keys they move, so
+    a column can be 0 in every row where pruning or a row mask emptied it.
+    Treat both as read-only; operations always build a fresh state.
     """
 
     amps: np.ndarray
-    gamma: np.ndarray
-    support: frozenset[Key]
+    keys: tuple[Key, ...]
 
     @classmethod
     def _from(cls, rows: int, amplitudes: dict[Key, complex]) -> "JointState":
         kept = {key: v for key, v in amplitudes.items() if abs(v) >= PRUNE_THRESHOLD}
-        size = len(LABELS)
-        amps = np.zeros((rows, size, size), dtype=complex)
-        gamma = np.zeros(rows, dtype=complex)
-        for key, value in kept.items():
-            if key == GAMMA:
-                gamma[:] = value
-            else:
-                amps[:, _INDEX[key[0]], _INDEX[key[1]]] = value
-        return cls(amps, gamma, frozenset(kept))
+        unknown = kept.keys() - _ALL_KEYS
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown, key=str)!r}")
+        amps = np.empty((rows, len(kept)), dtype=complex)
+        amps[:] = list(kept.values())
+        return cls(amps, tuple(kept))
 
     @classmethod
     def single(cls, rows: int = 1) -> "JointState":
@@ -199,18 +197,22 @@ class JointState:
 
     @property
     def rows(self) -> int:
-        return len(self.gamma)
+        return len(self.amps)
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """Per-row amplitudes of the joint sink."""
+        return self.amplitude(GAMMA)
 
     def amplitude(self, key: Key) -> np.ndarray:
         """Per-row amplitudes of a joint label pair, or of ``GAMMA``."""
-        if key == GAMMA:
-            return self.gamma
-        return self.amps[:, _INDEX[key[0]], _INDEX[key[1]]]
+        if key in self.keys:
+            return self.amps[:, self.keys.index(key)]
+        return np.zeros(self.rows, dtype=complex)
 
     def norm_squared(self) -> np.ndarray:
-        a, g = self.amps, self.gamma
-        pairs = (a.real * a.real + a.imag * a.imag).sum(axis=(1, 2))
-        return pairs + g.real * g.real + g.imag * g.imag
+        a = self.amps
+        return (a.real * a.real + a.imag * a.imag).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -310,6 +312,9 @@ class Readout:
         return OutcomeDistribution(probs)
 
 
+_ZERO = np.zeros((), dtype=complex)  # np.where fills from it without a conversion
+
+
 def _prune(amps: np.ndarray) -> np.ndarray:
     """Zero, in place, every amplitude of magnitude below ``PRUNE_THRESHOLD``."""
     amps[np.abs(amps) < PRUNE_THRESHOLD] = 0.0
@@ -328,6 +333,7 @@ def _except(*excluded: str) -> tuple[str, ...]:
     return tuple(label for label in LABELS if label not in excluded)
 
 
+_ALL_KEYS = _keys(LABELS, LABELS, True)
 # The keys each operation can act on; amplitude anywhere else is a pipeline-order bug.
 _BS1_INPUT = (_keys((S,), LABELS, False), _keys(LABELS, (S,), False))
 _BS2_INPUT = (_keys(_except(S, NONE), LABELS, True), _keys(LABELS, _except(S, NONE), True))
@@ -339,15 +345,22 @@ _INTERNAL_PAIR = _keys((U, V), (U, V), False)
 _TERMINAL_INPUT = _keys(_except(S, U, V), _except(S, U, V), True)
 
 
-def _require(state: JointState, allowed: frozenset[Key], message: str, particle: int = 0) -> None:
-    """Raise :class:`PipelineError` if any row has amplitude on a key outside ``allowed``.
+@functools.lru_cache(maxsize=1024)
+def _strays(keys: tuple[Key, ...], allowed: frozenset[Key]) -> tuple[tuple[int, Key], ...]:
+    """The columns of ``keys`` outside ``allowed``, in the order :func:`_require` checks them."""
+    outside = [(k, key) for k, key in enumerate(keys) if key not in allowed]
+    return tuple(sorted(outside, key=lambda column: str(column[1])))
+
+
+def _require(
+    state: JointState, strays: tuple[tuple[int, Key], ...], message: str, particle: int = 0
+) -> None:
+    """Raise :class:`PipelineError` if any row has amplitude in one of the ``strays`` columns.
 
     ``message`` may name ``{particle}``; it is formatted only on failure.
     """
-    if state.support <= allowed:
-        return
-    for key in sorted(state.support - allowed, key=str):
-        rows = np.flatnonzero(state.amplitude(key))
+    for column, key in strays:
+        rows = np.flatnonzero(state.amps[:, column])
         if len(rows):
             where = message.format(particle=particle)
             raise PipelineError(f"{where}, found key {key!r} in row {rows[0]}")
@@ -358,52 +371,101 @@ def _check_particle(particle: int) -> None:
         raise ValueError(f"particle index must be 0 or 1, got {particle!r}")
 
 
+class _Route(NamedTuple):
+    """Where an operation moves one particle's amplitude from ``sources`` to ``targets``.
+
+    ``columns[n]`` are the input columns with the particle on ``sources[n]``,
+    one per partner label that has it.  Partners holding every source come
+    first, ``shared`` of them, and ``whole`` says there are no others.  The
+    moved amplitude is laid out targets-major over the partners;
+    ``merged`` pairs positions in that layout with the input columns that
+    already hold those keys.  The output keys are the ``carried`` input
+    columns, then the sources if the operation leaves them in place, then
+    the targets.  ``strays`` are the input columns the operation cannot act on.
+    """
+
+    keys: tuple[Key, ...]
+    carried: np.ndarray
+    columns: tuple[np.ndarray, ...]
+    shared: int
+    whole: bool
+    merged: tuple[np.ndarray, np.ndarray] | None
+    strays: tuple[tuple[int, Key], ...]
+
+
 @functools.lru_cache(maxsize=1024)
-def _flow(
-    support: frozenset[Key],
+def _route(
+    keys: tuple[Key, ...],
     particle: int,
     sources: tuple[str, ...],
     targets: tuple[str, ...],
+    allowed: frozenset[Key],
     emptied: bool = True,
-) -> tuple[frozenset[Key], slice]:
-    """Support after ``particle``'s amplitude on ``sources`` moves to ``targets``.
+) -> _Route:
+    """Plan the move of ``particle``'s amplitude on ``sources`` to ``targets``.
 
-    Also returns the span of partner labels that amplitude can occupy; the
-    operation computes only there, since everything outside it is 0.
-    Pipelines revisit the same few supports, hence the cache.
+    Pipelines revisit the same few key tuples, hence the cache.
     """
-    moved = {key for key in support if key != GAMMA and key[particle] in sources}
-    reached = {
-        (label, key[1]) if particle == 0 else (key[0], label)
-        for key in moved
-        for label in targets
-    }
-    partners = [_INDEX[key[1 - particle]] for key in moved]
-    span = slice(min(partners), max(partners) + 1) if partners else slice(0, 0)
-    return (support - moved if emptied else support) | reached, span
+
+    def joint(own: str, partner: str) -> Key:
+        return (own, partner) if particle == 0 else (partner, own)
+
+    on = [
+        [key[1 - particle] for key in keys if key != GAMMA and key[particle] == source]
+        for source in sources
+    ]
+    shared = [partner for partner in on[0] if all(partner in other for other in on[1:])]
+    partners = shared + [partner for one in on for partner in one if partner not in shared]
+    column = {key: k for k, key in enumerate(keys)}
+    moved = [[joint(s, p) for p in partners if joint(s, p) in column] for s in sources]
+    reached = [joint(target, p) for target in targets for p in partners]
+    merged = [(at, column[key]) for at, key in enumerate(reached) if key in column]
+    leaving = {key for one in moved for key in one} | set(reached)
+    carried = [k for k, key in enumerate(keys) if key not in leaving]
+    kept = [] if emptied else [key for one in moved for key in one]
+    return _Route(
+        tuple(keys[k] for k in carried) + tuple(kept) + tuple(reached),
+        np.array(carried, dtype=np.intp),
+        tuple(np.array([column[key] for key in one], dtype=np.intp) for one in moved),
+        len(shared),
+        len(partners) == len(shared),
+        tuple(np.array(side, dtype=np.intp) for side in zip(*merged)) if merged else None,
+        _strays(keys, allowed),
+    )
 
 
-def _facing(amps: np.ndarray, particle: int) -> np.ndarray:
-    """View of ``amps`` with ``particle``'s label on axis 1 and its partner's on axis 2."""
-    return amps if particle == 0 else amps.transpose(0, 2, 1)
+def _spread(amps: np.ndarray, route: _Route, coefficients) -> np.ndarray:
+    """Each source column times its coefficients, summed over sources in order.
+
+    The result has shape ``(rows, targets, partners)``; a partner that lacks a
+    source gets no term from it.
+    """
+    first = amps.take(route.columns[0], 1)[:, None] * coefficients[0]
+    if len(coefficients) == 1:
+        return first
+    second = amps.take(route.columns[1], 1)[:, None] * coefficients[1]
+    if route.whole:
+        return first + second
+    n = route.shared
+    return np.concatenate((first[..., :n] + second[..., :n], first[..., n:], second[..., n:]), 2)
 
 
-def _labels(first: str, last: str) -> slice:
-    """The labels from ``first`` through ``last`` in ``LABELS`` order."""
-    return slice(_INDEX[first], _INDEX[last] + 1)
+def _settle(state: JointState, route: _Route, moved: np.ndarray, *kept: np.ndarray) -> JointState:
+    """The routed state: carried columns, ``kept`` source columns, then the pruned targets.
 
-
-_ON_S, _ON_UV, _ON_CD = _labels(S, S), _labels(U, V), _labels(C, D)
+    Amplitude a target key already held is added after the amplitude moved there.
+    """
+    moved = moved.reshape(len(moved), -1)
+    if route.merged is not None:
+        at, columns = route.merged
+        moved[:, at] += state.amps.take(columns, 1)
+    amps = np.concatenate((state.amps.take(route.carried, 1), *kept, _prune(moved)), axis=1)
+    return JointState(amps, route.keys)
 
 
 def _pair(first, second) -> np.ndarray:
     """Coefficients for a two-label slot: shape (2, 1), or (rows, 2, 1) when per row."""
     return np.array([first, second], dtype=complex).T[..., None]
-
-
-def _acting(state: JointState, rows: np.ndarray | None) -> np.ndarray:
-    """Boolean mask of the rows an operation acts on; ``None`` means all of them."""
-    return np.ones(state.rows, dtype=bool) if rows is None else np.asarray(rows, dtype=bool)
 
 
 def apply_bs1(state: JointState, particle: int, params: BeamSplitterParams) -> JointState:
@@ -414,16 +476,11 @@ def apply_bs1(state: JointState, particle: int, params: BeamSplitterParams) -> J
     """
     _check_particle(particle)
     message = "first splitter expects particle {particle} on 's'"
-    _require(state, _BS1_INPUT[particle], message, particle)
-    support, span = _flow(state.support, particle, (S,), (U, V))
-    amps = state.amps.copy()
-    a = _facing(amps, particle)
-    s = a[:, _ON_S, span]
+    route = _route(state.keys, particle, (S,), (U, V), _BS1_INPUT[particle])
+    _require(state, route.strays, message, particle)
     # Multiplying by i*r rounds each component once, exactly like
     # multiplying by i and then by r.
-    a[:, _ON_UV, span] = _prune(s * params.coefficients[0])
-    s[...] = 0.0
-    return JointState(amps, state.gamma, support)
+    return _settle(state, route, _spread(state.amps, route, params.coefficients[:1]))
 
 
 def apply_bs2(state: JointState, particle: int, params: BeamSplitterParams) -> JointState:
@@ -434,17 +491,9 @@ def apply_bs2(state: JointState, particle: int, params: BeamSplitterParams) -> J
     """
     _check_particle(particle)
     message = "second splitter cannot act on particle {particle}"
-    _require(state, _BS2_INPUT[particle], message, particle)
-    support, span = _flow(state.support, particle, (U, V), (C, D))
-    amps = state.amps.copy()
-    a = _facing(amps, particle)
-    uv, cd = a[:, _ON_UV, span], a[:, _ON_CD, span]
-    _, from_u, from_v = params.coefficients
-    cd += uv[:, :1] * from_u
-    cd += uv[:, 1:] * from_v
-    _prune(cd)
-    uv[...] = 0.0
-    return JointState(amps, state.gamma, support)
+    route = _route(state.keys, particle, (U, V), (C, D), _BS2_INPUT[particle])
+    _require(state, route.strays, message, particle)
+    return _settle(state, route, _spread(state.amps, route, params.coefficients[1:]))
 
 
 def apply_phase_coupling(state: JointState, phi: float | np.ndarray) -> JointState:
@@ -453,21 +502,24 @@ def apply_phase_coupling(state: JointState, phi: float | np.ndarray) -> JointSta
     ``phi`` is one phase for every row or one per row; a zero phase leaves
     its row bit-identical, as do all amplitudes off ``(v, v)``.
     """
-    _require(state, _INTERNAL_PAIR, "phase coupling requires both particles on the internal arms")
+    message = "phase coupling requires both particles on the internal arms"
+    _require(state, _strays(state.keys, _INTERNAL_PAIR), message)
     phi = np.asarray(phi, dtype=float)
     if not np.isfinite(phi).all():
         raise ValueError(f"coupling phase must be finite, got {phi!r}")
+    if (V, V) not in state.keys:
+        return JointState(state.amps, state.keys)
     # numpy's complex exp evaluates libm's exp, cos and sin, as cmath.exp does.
     factor = np.exp(1j * phi)
+    k = state.keys.index((V, V))
+    vv = state.amps[:, k]
     amps = state.amps.copy()
-    vv = state.amplitude((V, V))
     # vv * factor in two products by a purely real and a purely imaginary
     # number, each exact to one rounding per component, so the sum has the
     # bits of the textbook complex product; numpy's own complex product may
     # fuse a multiply-add and change the last bit.
-    rotated = vv * factor.real + vv * (1j * factor.imag)
-    amps[:, _INDEX[V], _INDEX[V]] = _prune(rotated)
-    return JointState(amps, state.gamma, state.support)
+    amps[:, k] = _prune(vv * factor.real + vv * (1j * factor.imag))
+    return JointState(amps, state.keys)
 
 
 def apply_annihilation_coupling(
@@ -477,20 +529,21 @@ def apply_annihilation_coupling(
 
     ``rows`` is a boolean mask of the rows the coupling acts on; all by default.
     """
-    _require(
-        state, _INTERNAL_PAIR, "annihilation coupling requires both particles on the internal arms"
-    )
-    acting = _acting(state, rows)
-    amps = state.amps.copy()
-    uu = amps[:, _INDEX[U], _INDEX[U]]
-    gamma = state.gamma.copy()
-    np.add(gamma, uu, out=gamma, where=acting)
-    _prune(gamma)
-    np.copyto(uu, 0.0, where=acting)
-    support = state.support
-    if (U, U) in support:
-        support = (support - {(U, U)} if rows is None else support) | {GAMMA}
-    return JointState(amps, gamma, support)
+    message = "annihilation coupling requires both particles on the internal arms"
+    _require(state, _strays(state.keys, _INTERNAL_PAIR), message)
+    if (U, U) not in state.keys:
+        return JointState(state.amps, state.keys)
+    acting = np.ones(state.rows, dtype=bool) if rows is None else np.asarray(rows, dtype=bool)
+    uu = state.amplitude((U, U))
+    gamma = _prune(state.gamma + np.where(acting, uu, _ZERO))
+    carried = [k for k, key in enumerate(state.keys) if key not in ((U, U), GAMMA)]
+    columns = [state.amps.take(carried, 1)]
+    keys = tuple(state.keys[k] for k in carried)
+    if rows is not None:
+        columns.append(np.where(acting, _ZERO, uu)[:, None])
+        keys += ((U, U),)
+    amps = np.concatenate((*columns, gamma[:, None]), axis=1)
+    return JointState(amps, keys + (GAMMA,))
 
 
 def apply_absorber(
@@ -512,22 +565,24 @@ def apply_absorber(
         raise ValueError(f"absorber arm must be {U!r} or {V!r}, got {arm!r}")
     if sink not in SINKS:
         raise ValueError(f"absorber sink must be one of {SINKS}, got {sink!r}")
-    _require(
-        state,
-        _ABSORBER_INPUT[particle],
-        "absorber expects particle {particle} between the splitters",
-        particle,
-    )
-    acting = _acting(state, rows)
-    support, span = _flow(state.support, particle, (arm,), (sink,), rows is None)
-    amps = state.amps.copy()
-    a = _facing(amps, particle)
-    on_arm, in_sink = a[:, _INDEX[arm], span], a[:, _INDEX[sink], span]
-    acting = acting[:, None]
-    np.add(in_sink, on_arm, out=in_sink, where=acting)
-    _prune(in_sink)
-    np.copyto(on_arm, 0.0, where=acting)
-    return JointState(amps, state.gamma, support)
+    route = _route(state.keys, particle, (arm,), (sink,), _ABSORBER_INPUT[particle], rows is None)
+    message = "absorber expects particle {particle} between the splitters"
+    _require(state, route.strays, message, particle)
+    on_arm = state.amps.take(route.columns[0], 1)
+    if rows is None:
+        return _settle(state, route, on_arm)
+    acting = np.asarray(rows, dtype=bool)[:, None]
+    return _settle(state, route, np.where(acting, on_arm, _ZERO), np.where(acting, _ZERO, on_arm))
+
+
+@functools.lru_cache(maxsize=256)
+def _cells(keys: tuple[Key, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
+    """The label-pair columns of ``keys``, their ``(i, j)`` table cells, the ``GAMMA`` column."""
+    pairs = [k for k, key in enumerate(keys) if key != GAMMA]
+    i = [_INDEX[keys[k][0]] for k in pairs]
+    j = [_INDEX[keys[k][1]] for k in pairs]
+    gamma = keys.index(GAMMA) if GAMMA in keys else None
+    return (*(np.array(a, dtype=np.intp) for a in (pairs, i, j)), gamma)
 
 
 def measure(state: JointState) -> Readout:
@@ -536,12 +591,11 @@ def measure(state: JointState) -> Readout:
     Raises :class:`PipelineError` if any amplitude is still on ``s``, ``u``
     or ``v``; detection happens only after both splitters have acted.
     """
-    _require(state, _TERMINAL_INPUT, "cannot measure: amplitude left on an internal label")
-    squares = state.amps.view(np.float64) ** 2
-    table = squares[..., 0::2] + squares[..., 1::2]  # re*re + im*im
-    g = state.gamma
-    gamma = g.real * g.real + g.imag * g.imag
-    total = table.sum(axis=(1, 2)) + gamma
+    message = "cannot measure: amplitude left on an internal label"
+    _require(state, _strays(state.keys, _TERMINAL_INPUT), message)
+    squares = np.ascontiguousarray(state.amps).view(np.float64) ** 2
+    probs = squares[:, 0::2] + squares[:, 1::2]  # re*re + im*im
+    total = probs.sum(axis=1)
     drift = np.abs(total - 1.0)
     if drift.max(initial=0.0) > NORM_TOL:
         row = int(drift.argmax())
@@ -549,4 +603,11 @@ def measure(state: JointState) -> Readout:
             f"probabilities sum to {float(total[row])!r} in row {row}, "
             f"expected 1 within {NORM_TOL}"
         )
+    pairs, i, j, g = _cells(state.keys)
+    if g is None:
+        cells, gamma = probs, np.zeros(len(probs))
+    else:
+        cells, gamma = probs.take(pairs, 1), probs[:, g]
+    table = np.zeros((len(probs), len(LABELS), len(LABELS)))
+    table[:, i, j] = cells
     return Readout(table, gamma)

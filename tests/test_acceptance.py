@@ -128,7 +128,7 @@ def test_05_violation_optimum():
         abs(opt.violation_star - 0.0990) <= 1e-4
         and abs(opt.r_star - 0.58309) <= 1e-4
         and abs(opt.phi_star - math.pi) <= 1e-6
-        and elapsed < 2.0
+        and elapsed < 1.0
     )
     _report(
         "violation optimum",

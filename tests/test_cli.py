@@ -307,6 +307,47 @@ class TestBell:
         assert data["outputs"]["lhv_feasible"] is True
 
 
+
+class TestPhaseResolution:
+    """A phase at or beyond 2**25 radians is a float too coarse to name a phase."""
+
+    SMALL_GRID = ["--r-min", "0.3", "--r-max", "0.5", "--r-steps", "2", "--phi-steps", "2"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["bell", "--r", "0.5", "--phi", "1e300"],
+            ["phase", "--r", "0.5", "--phi", "1e300"],
+            ["phase", "--r", "0.5", "--phi=-1e300"],
+            ["phase", "--r", "0.5", "--phi", str(2.0**25)],
+            ["phase", "--r", "0.5", "--phi", "2e9", "--degrees"],
+            ["sweep", "--phi-max", "1e300"],
+            ["sweep", "--phi-min=-1e300", "--phi-max=0"],
+        ],
+    )
+    def test_unresolvable_phase_exits_2_without_traceback(self, capsys, tmp_path, flags):
+        out_path = tmp_path / "grid.csv"
+        argv = flags + ["--out", str(out_path)] if flags[0] == "sweep" else flags
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: phase")
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("phi", ["1e6", "-1e6", repr(math.nextafter(2.0**25, 0.0))])
+    def test_large_resolvable_phase_runs(self, capsys, tmp_path, phi):
+        for flags in (
+            ["bell", "--r", "0.5", f"--phi={phi}"],
+            ["phase", "--r", "0.5", f"--phi={phi}"],
+        ):
+            assert run_json(capsys, flags)["command"] == flags[0]
+        low, high = sorted((0.0, float(phi)))
+        argv = ["sweep", *self.SMALL_GRID, f"--phi-min={low!r}", f"--phi-max={high!r}"]
+        data = run_json(capsys, argv + ["--out", str(tmp_path / "grid.csv")])
+        assert data["outputs"]["rows"] == 4
+
+
 class TestSweep:
     ARGS = [
         "sweep",

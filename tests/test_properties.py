@@ -1,0 +1,83 @@
+"""Property tests of the engine's physics: norm, periodicity, particle swap, no-signaling.
+
+Hypothesis runs derandomized, so every run draws the same examples.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from mzpair.bell import behavior_from_phase_setup  # noqa: E402
+from mzpair.experiments import (  # noqa: E402
+    SETTINGS,
+    Coupling,
+    ExperimentConfig,
+    PairBatch,
+    run_pair,
+    run_pair_state,
+)
+from mzpair.state import NORM_TOL, BeamSplitterParams  # noqa: E402
+
+ATOL = 1e-12
+
+ratios = st.floats(0.01, 0.99)
+phases = st.floats(-7.0, 7.0)
+
+
+@st.composite
+def configs(draw):
+    """One twin run: its own splitter ratio, coupling kind and detector placement."""
+    kind = draw(st.sampled_from(["none", "annihilation", "phase"]))
+    coupling = Coupling.phase(draw(phases)) if kind == "phase" else Coupling(kind)
+    u1, u2 = draw(st.sampled_from(SETTINGS))
+    return ExperimentConfig(BeamSplitterParams.from_r(draw(ratios)), coupling, u1, u2)
+
+
+def swapped(config):
+    return ExperimentConfig(config.bs, config.coupling, config.u2, config.u1)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(configs(), min_size=1, max_size=12))
+def test_norm_is_conserved_over_mixed_batches(batch):
+    state = run_pair_state(PairBatch.of(*batch))
+    assert np.max(np.abs(state.norm_squared() - 1.0)) <= NORM_TOL
+    readout = run_pair(PairBatch.of(*batch))
+    totals = readout.table.sum(axis=(1, 2)) + readout.gamma
+    assert np.max(np.abs(totals - 1.0)) <= NORM_TOL
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ratios, phases)
+def test_phase_is_periodic_in_two_pi(r, phi):
+    bs = BeamSplitterParams.from_r(r)
+    base = run_pair(PairBatch.phase_settings(bs, [phi]))
+    turned = run_pair(PairBatch.phase_settings(bs, [phi + 2.0 * math.pi]))
+    assert np.max(np.abs(turned.table - base.table)) <= ATOL
+    assert np.max(np.abs(turned.gamma - base.gamma)) <= ATOL
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(configs(), min_size=1, max_size=12))
+def test_swapping_the_particles_transposes_the_table(batch):
+    readout = run_pair(PairBatch.of(*batch))
+    mirrored = run_pair(PairBatch.of(*map(swapped, batch)))
+    assert np.max(np.abs(mirrored.table - readout.table.transpose(0, 2, 1))) <= ATOL
+    assert np.max(np.abs(mirrored.gamma - readout.gamma)) <= ATOL
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ratios, phases)
+def test_marginals_do_not_depend_on_the_far_setting(r, phi):
+    behavior = behavior_from_phase_setup(BeamSplitterParams.from_r(r), phi)
+    assert behavior.no_signaling_residual() <= ATOL
+    for side in (0, 1):
+        for own in (True, False):
+            placed = behavior.marginal(side, own, True)
+            absent = behavior.marginal(side, own, False)
+            assert max(abs(placed[o] - absent[o]) for o in placed) <= ATOL

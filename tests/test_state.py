@@ -1,4 +1,4 @@
-"""Unit tests for the label-array amplitude engine."""
+"""Unit tests for the key-column amplitude engine."""
 
 import cmath
 import math
@@ -163,7 +163,9 @@ class TestPhaseCoupling:
     def test_identity_at_zero_and_full_turn(self):
         params = BeamSplitterParams.balanced()
         state = self._product(params)
-        assert np.array_equal(apply_phase_coupling(state, 0.0).amps, state.amps)
+        out = apply_phase_coupling(state, 0.0)
+        assert out.keys == state.keys
+        assert np.array_equal(out.amps, state.amps)
         out = apply_phase_coupling(state, 2.0 * math.pi)
         assert abs(out.amplitude((V, V)) - state.amplitude((V, V))) <= ATOL
 
@@ -214,6 +216,7 @@ class TestAnnihilationCoupling:
     def test_without_overlap_is_identity(self):
         state = JointState.of({(U, V): 0.6, (V, U): 0.8j})
         out = apply_annihilation_coupling(state)
+        assert out.keys == state.keys
         assert np.array_equal(out.amps, state.amps)
 
     def test_requires_internal_pair(self):
@@ -237,6 +240,7 @@ class TestAbsorber:
     def test_nothing_on_arm_is_identity(self):
         state = JointState.of({(V, V): 1.0})
         out = apply_absorber(state, 0, U)
+        assert out.keys == state.keys
         assert np.array_equal(out.amps, state.amps)
 
     def test_gamma_passes_through(self):
@@ -307,3 +311,42 @@ class TestOutcomeDistribution:
 def test_prune_drops_tiny_amplitudes():
     state = JointState.of({(C, NONE): 1.0, (D, NONE): 1e-16})
     assert state.amplitude((D, NONE))[0] == 0.0
+
+
+class TestKeyColumns:
+    def test_absorber_adds_to_amplitude_already_in_the_sink(self):
+        state = JointState.of({(U, V): 0.6, (ABSORBED, V): 0.8j})
+        out = apply_absorber(state, 0, U)
+        assert out.amplitude((ABSORBED, V))[0] == 0.6 + 0.8j
+        assert out.amplitude((U, V))[0] == 0.0
+
+    def test_second_splitter_adds_to_amplitude_already_on_a_port(self):
+        params = BeamSplitterParams.from_r(0.3)
+        state = JointState.of({(U, NONE): 0.6, (C, NONE): 0.8})
+        out = apply_bs2(state, 0, params)
+        assert abs(out.amplitude((C, NONE))[0] - (0.6 * params.r + 0.8)) <= ATOL
+        assert abs(out.amplitude((D, NONE))[0] - 0.6j * params.t) <= ATOL
+        assert abs(out.norm_squared()[0] - (1.0 + 2 * 0.6 * 0.8 * params.r)) <= ATOL
+
+    def test_phase_setup_lists_at_most_nine_keys(self):
+        params = BeamSplitterParams.from_r(0.4)
+        u1, u2 = np.array([[True, True, False, False], [True, False, True, False]])
+        steps = [
+            lambda s: apply_bs1(s, 0, params),
+            lambda s: apply_bs1(s, 1, params),
+            lambda s: apply_phase_coupling(s, 1.0),
+            lambda s: apply_absorber(s, 0, U, ABSORBED, u1),
+            lambda s: apply_absorber(s, 1, U, ABSORBED, u2),
+            lambda s: apply_bs2(s, 0, params),
+            lambda s: apply_bs2(s, 1, params),
+        ]
+        state = JointState.pair(4)
+        for step in steps:
+            state = step(state)
+            assert len(state.keys) <= 9
+            assert len(set(state.keys)) == len(state.keys)
+        assert np.max(np.abs(state.norm_squared() - 1.0)) <= ATOL
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown keys"):
+            JointState.of({(U, "x"): 1.0})

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from mzpair import explore  # noqa: E402
 from mzpair.bell import behavior_from_phase_setup, bell_violation  # noqa: E402
 from mzpair.cli import CSV_HEADER, _format_real, main  # noqa: E402
 from mzpair.explore import SweepGrid, first_max, sweep, violation_at  # noqa: E402
@@ -28,7 +30,7 @@ def grids(draw):
     r_max = draw(st.floats(r_min + 1e-3, 0.99))
     phi_min = draw(st.floats(-7.0, 7.0))
     phi_max = draw(st.floats(phi_min + 1e-3, phi_min + 14.0))
-    # up to 60 phases, so a row can span two scan blocks
+    # up to 60 phases; the test also scans in blocks of 7, so rows span several
     return SweepGrid(
         r_min, r_max, draw(st.integers(2, 3)), phi_min, phi_max, draw(st.integers(2, 60))
     )
@@ -53,8 +55,13 @@ def run_sweep(grid):
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
-@given(grids())
-def test_streamed_rows_match_single_point_evaluations(grid):
+@given(grids(), st.sampled_from([7, explore.SCAN_BLOCK]))
+def test_streamed_rows_match_single_point_evaluations(grid, block):
+    with mock.patch.object(explore, "SCAN_BLOCK", block):
+        check_streamed_rows(grid)
+
+
+def check_streamed_rows(grid):
     cells = []
     for r in grid.r_values():
         for phi in grid.phi_values():
