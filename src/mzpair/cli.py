@@ -255,7 +255,7 @@ def cmd_gravity(args: argparse.Namespace) -> int:
     params = GravityParams(
         mass_kg=args.mass, interaction_length_m=args.length, separation_m=args.distance
     )
-    phi = gravity_phase(params)
+    phi = _angle(gravity_phase(params), degrees=False)
     optimum = find_max_violation_at_phi(phi)
     inputs = {"mass": args.mass, "length": args.length, "distance": args.distance}
     outputs = {

@@ -140,10 +140,18 @@ class PairBatch:
     @classmethod
     def phase_settings(cls, bs: BeamSplitterParams, phis) -> "PairBatch":
         """Phase-coupled runs under every setting: row ``k * len(phis) + j``
-        has the placements ``SETTINGS[k]`` and the phase ``phis[j]``."""
+        has the placements ``SETTINGS[k]`` and the phase ``phis[j]``.
+
+        ``bs`` is shared by every row, or holds one ratio per phase, tiled
+        over the settings as the phases are.
+        """
         phis = np.asarray(phis, dtype=float)
         u1, u2 = np.repeat(_SETTING_COLUMNS, len(phis), axis=1)
         no_annihilation = np.zeros(len(u1), dtype=bool)
+        if isinstance(bs.r, np.ndarray):
+            bs = BeamSplitterParams(
+                t=np.concatenate((bs.t,) * len(SETTINGS)), r=np.concatenate((bs.r,) * len(SETTINGS))
+            )
         return cls(bs, np.concatenate((phis,) * len(SETTINGS)), no_annihilation, u1, u2)
 
 

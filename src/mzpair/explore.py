@@ -4,11 +4,13 @@ Everything here is driven by the simulated behavior, not by closed forms,
 so a sweep doubles as an end-to-end consistency exercise: the two
 mixed-placement inequality terms are checked to vanish at every visited
 cell.  Grid points go through the engine in blocks of at most
-``SCAN_BLOCK`` phases at one splitter ratio, each under all four detector
-settings.  A sweep yields the blocks as they are computed and keeps none,
-so its memory does not grow with the grid; every scan picks its best cell
-with :func:`first_max`.  Optimization is a coarse scan followed by
-alternating golden-section passes, which keeps results bit-reproducible.
+``SCAN_BLOCK`` phases at one splitter ratio, or ``SCAN_BLOCK`` points each
+with its own ratio, every point under all four detector settings.  A sweep
+yields the blocks as they are computed and keeps none, so its memory does
+not grow with the grid; every scan picks its best cell with
+:func:`first_max`.  Optimization is a coarse scan followed by a fixed
+schedule of shrinking zoom grids, one engine batch each, which keeps
+results bit-reproducible.
 """
 
 from __future__ import annotations
@@ -46,8 +48,12 @@ MIDDLE_TERM_TOL = 1e-12
 # 200.  It still caps memory when a grid has many more phases per row.
 SCAN_BLOCK = 200
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+# Zoom grid values per refined axis, and the box's shrink per round: the new
+# half-width is the old grid spacing, so the box keeps a peak that lies
+# between the best point's grid neighbours.
+ZOOM_POINTS = 9
+ZOOM_SHRINK = 4.0
+_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, ZOOM_POINTS)
 
 
 @dataclass(frozen=True)
@@ -89,23 +95,27 @@ DEFAULT_GRID = SweepGrid(
 )
 
 
-def check_middle_terms(r: float, phis, mid1: np.ndarray, mid2: np.ndarray) -> None:
+def check_middle_terms(r, phis, mid1: np.ndarray, mid2: np.ndarray) -> None:
     """Raise :class:`PipelineError` unless both mixed-placement terms vanish.
 
-    They vanish identically for this setup; anything else indicates a
-    broken pipeline, not an interesting parameter point.
+    ``r`` is the splitter ratio shared by every phase, or one ratio per
+    phase.  The terms vanish identically for this setup; anything else
+    indicates a broken pipeline, not an interesting parameter point.
     """
     within = np.maximum(mid1, mid2) <= MIDDLE_TERM_TOL  # False where either is NaN
     if not within.all():
         k = np.flatnonzero(~within)[0]
         raise PipelineError(
             f"middle terms {float(mid1[k])!r}, {float(mid2[k])!r} exceed {MIDDLE_TERM_TOL} "
-            f"at r={r!r}, phi={float(phis[k])!r}"
+            f"at r={float(np.broadcast_to(r, within.shape)[k])!r}, phi={float(phis[k])!r}"
         )
 
 
 def _terms(bs: BeamSplitterParams, phis) -> tuple[np.ndarray, ...]:
-    """``p_u1u2``, ``p_c1c2`` and the violation at each phase in ``phis``, from simulation."""
+    """``p_u1u2``, ``p_c1c2`` and the violation at each phase in ``phis``, from simulation.
+
+    ``bs`` is shared by every phase, or holds one ratio per phase.
+    """
     readout = run_pair(PairBatch.phase_settings(bs, phis))
     p1, mid1, mid2, p4, violation = inequality_terms(behavior_cells(readout))
     check_middle_terms(bs.r, phis, mid1, mid2)
@@ -136,18 +146,31 @@ def sweep(grid: SweepGrid):
     yield from _scan(grid.r_values(), grid.phi_values())
 
 
+def _points(rs: np.ndarray, phis: np.ndarray):
+    """Yield ``(rs, phis, p_u1u2, p_c1c2, violation)`` blocks of the points ``(rs[k], phis[k])``.
+
+    Each block is one engine batch of at most ``SCAN_BLOCK`` points, every
+    point with its own splitter ratio.
+    """
+    for start in range(0, len(rs), SCAN_BLOCK):
+        r, phi = rs[start : start + SCAN_BLOCK], phis[start : start + SCAN_BLOCK]
+        yield (r, phi, *_terms(BeamSplitterParams(t=np.sqrt(1.0 - r * r), r=r), phi))
+
+
 def first_max(blocks) -> tuple[int, tuple[float, float, float, float, float] | None]:
     """Count the cells of scan ``blocks`` and find the one with the largest violation.
 
-    Returns the count and that cell as ``(r, phi, p_u1u2, p_c1c2, violation)``,
-    or ``None`` for no blocks.  Among equal violations the first cell wins.
+    A block's ``r`` is shared by its phases or given per phase.  Returns the
+    count and that cell as ``(r, phi, p_u1u2, p_c1c2, violation)``, or
+    ``None`` for no blocks.  Among equal violations the first cell wins.
     """
     cells, best = 0, None
     for r, phis, p1, p4, v in blocks:
         cells += len(phis)
         k = int(np.argmax(v))  # the first maximum within the block
         if best is None or v[k] > best[4]:
-            best = (r, phis[k], float(p1[k]), float(p4[k]), float(v[k]))
+            r_k = float(np.broadcast_to(r, v.shape)[k])
+            best = (r_k, float(phis[k]), float(p1[k]), float(p4[k]), float(v[k]))
     return cells, best
 
 
@@ -160,43 +183,41 @@ class Optimum:
     at_boundary: bool
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
-    """Golden-section maximization on [lo, hi]; returns (x, f(x), evals)."""
-    if hi - lo <= tol:
-        mid = 0.5 * (lo + hi)
-        return mid, f(mid), 1
-    span = hi - lo
-    steps = int(math.ceil(math.log(tol / span) / math.log(INV_PHI)))
-    c = lo + INV_PHI_SQ * span
-    d = lo + INV_PHI * span
-    yc = f(c)
-    yd = f(d)
-    evals = 2
-    for _ in range(max(steps - 1, 0)):
-        if yc > yd:
-            hi = d
-            d, yd = c, yc
-            span *= INV_PHI
-            c = lo + INV_PHI_SQ * span
-            yc = f(c)
-        else:
-            lo = c
-            c, yc = d, yd
-            span *= INV_PHI
-            d = lo + INV_PHI * span
-            yd = f(d)
-        evals += 1
-    if yc > yd:
-        return c, yc, evals
-    return d, yd, evals
+def _zoom(best, r_half: float, phi_half: float, r_range, phi_range, tol: float):
+    """Refine ``best = (r, phi, violation)`` on a fixed schedule of zoom grids.
+
+    Each round evaluates, as one engine batch, the ``ZOOM_POINTS`` x
+    ``ZOOM_POINTS`` grid over ``r +- r_half`` and ``phi +- phi_half``
+    (``ZOOM_POINTS`` x 1 when ``phi_half`` is 0), clipped to ``r_range`` and
+    ``phi_range``.  The best point moves to the grid's first maximum only when
+    that is strictly larger, so the result never falls below ``best``.  Both
+    half-widths then shrink by ``ZOOM_SHRINK`` until neither exceeds ``tol``,
+    which takes about ``log(half / tol) / log(ZOOM_SHRINK)`` rounds.
+
+    Returns the refined ``(r, phi, violation)`` and the evaluations made.
+    """
+    r, phi, v = best
+    phi_offsets = _ZOOM_OFFSETS if phi_half else np.zeros(1)
+    evals = 0
+    while max(r_half, phi_half) > tol:
+        rs = np.clip(r + r_half * _ZOOM_OFFSETS, *r_range)
+        phis = np.clip(phi + phi_half * phi_offsets, *phi_range)
+        points = _points(np.repeat(rs, len(phis)), np.tile(phis, len(rs)))
+        n, (r_k, phi_k, _, _, v_k) = first_max(points)
+        evals += n
+        if v_k > v:
+            r, phi, v = r_k, phi_k, v_k
+        r_half /= ZOOM_SHRINK
+        phi_half /= ZOOM_SHRINK
+    return (r, phi, v), evals
 
 
 def find_max_violation(grid: SweepGrid | None = None, refine_tol: float = 1e-8) -> Optimum:
     """Locate the largest simulated violation on (and inside) the grid.
 
-    A full coarse scan picks the best cell; alternating golden-section
-    passes in r and phi then refine until both coordinates settle within
-    ``refine_tol``.  The result never falls below the best coarse cell.
+    A full coarse scan picks the best cell; zoom grids starting one grid step
+    around it then refine both coordinates until the box's half-width is
+    within ``refine_tol``.  The result never falls below the best coarse cell.
     """
     if grid is None:
         grid = DEFAULT_GRID
@@ -217,46 +238,19 @@ def find_max_violation(grid: SweepGrid | None = None, refine_tol: float = 1e-8) 
 
     r_step = (grid.r_max - grid.r_min) / (grid.r_steps - 1)
     phi_step = (grid.phi_max - grid.phi_min) / (grid.phi_steps - 1)
-
-    r_cur, phi_cur, v_cur = best_r, best_phi, best_v
-    for _ in range(60):
-        r_new, v_r, n = _golden_max(
-            lambda rr: violation_at(rr, phi_cur),
-            max(r_lo, r_cur - r_step),
-            min(r_hi, r_cur + r_step),
-            refine_tol,
-        )
-        evals += n
-        phi_new, v_p, n = _golden_max(
-            lambda pp: violation_at(r_new, pp),
-            max(phi_lo, phi_cur - phi_step),
-            min(phi_hi, phi_cur + phi_step),
-            refine_tol,
-        )
-        evals += n
-        if v_p > v_cur:
-            v_cur = v_p
-        moved = max(abs(r_new - r_cur), abs(phi_new - phi_cur))
-        r_cur, phi_cur = r_new, phi_new
-        if moved < refine_tol:
-            break
+    (r_cur, phi_cur, _), n = _zoom(
+        (best_r, best_phi, best_v), r_step, phi_step, (r_lo, r_hi), (phi_lo, phi_hi), refine_tol
+    )
+    evals += n
 
     # Keep the invariant literal: the returned point beats its refine-scale
     # neighbors and every coarse cell.
-    v_cur = violation_at(r_cur, phi_cur)
-    evals += 1
-    for rr, pp in (
-        (r_cur - refine_tol, phi_cur),
-        (r_cur + refine_tol, phi_cur),
-        (r_cur, phi_cur - refine_tol),
-        (r_cur, phi_cur + refine_tol),
-    ):
-        rr = min(max(rr, r_lo), r_hi)
-        pp = min(max(pp, phi_lo), phi_hi)
-        v = violation_at(rr, pp)
-        evals += 1
-        if v > v_cur:
-            r_cur, phi_cur, v_cur = rr, pp, v
+    rs = np.clip([r_cur, r_cur - refine_tol, r_cur + refine_tol, r_cur, r_cur], r_lo, r_hi)
+    phis = np.clip(
+        [phi_cur, phi_cur, phi_cur, phi_cur - refine_tol, phi_cur + refine_tol], phi_lo, phi_hi
+    )
+    n, (r_cur, phi_cur, _, _, v_cur) = first_max(_points(rs, phis))
+    evals += n
     if best_v > v_cur:
         r_cur, phi_cur, v_cur = best_r, best_phi, best_v
 
@@ -292,18 +286,12 @@ def find_max_violation_at_phi(
         )
     step = (r_hi - r_lo) / (r_steps - 1)
 
-    r_grid = [r_lo + i * step for i in range(r_steps)]
-    evals, (best_r, _, _, _, best_v) = first_max(_scan(r_grid, [phi]))
-
-    r_star, v_star, n = _golden_max(
-        lambda rr: violation_at(rr, phi),
-        max(r_lo, best_r - step),
-        min(r_hi, best_r + step),
-        refine_tol,
+    r_grid = r_lo + np.arange(r_steps) * step
+    evals, (best_r, _, _, _, best_v) = first_max(_points(r_grid, np.full(r_steps, phi)))
+    (r_star, _, v_star), n = _zoom(
+        (best_r, phi, best_v), step, 0.0, (r_lo, r_hi), (phi, phi), refine_tol
     )
     evals += n
-    if best_v > v_star:
-        r_star, v_star = best_r, best_v
     at_boundary = r_star - r_lo <= 2.0 * refine_tol or r_hi - r_star <= 2.0 * refine_tol
     return Optimum(r_star, phi, v_star, evals, at_boundary)
 

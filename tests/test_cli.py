@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -120,18 +121,19 @@ GOLDEN_GRAVITY_NEAR_PI = """\
   },
   "outputs": {
     "phi": 3.14730831366,
-    "best_r": 0.583090594387,
+    "best_r": 0.583090597661,
     "violation_at_phi": 0.0990025284751,
     "at_boundary": false
   }
 }
 """
 
-# sha256 of the default-grid sweep CSV and of the default optimize report,
-# recorded before the amplitude engine was batched; a changed digest means a
-# changed summation order somewhere, not a new golden.
+# sha256 of the default-grid sweep CSV, recorded before the amplitude engine
+# was batched, and of the default optimize report, recorded with the zoom-grid
+# refinement; a changed digest means a changed summation order or refinement
+# schedule somewhere, not a new golden.
 SWEEP_DEFAULT_SHA256 = "a3ff2fe235aa7f3a193547a5ffa7958ac950b68a491419ddfd6104fb6aa46397"
-OPTIMIZE_DEFAULT_SHA256 = "1fcd5d94d7a2ded025a7b3aa2879ff9426362a1f44b1474d43277f3ea6e58dc6"
+OPTIMIZE_DEFAULT_SHA256 = "f22ff432083db2cc30d53ce545e3fb61509ec2742dba6832cc26d44e2c694ed0"
 
 PI_TEXT = "3.141592653589793"
 # sqrt((2 - sqrt(2)) / 2), the ratio that nulls the joint bright port at phi = pi
@@ -323,6 +325,8 @@ class TestPhaseResolution:
             ["phase", "--r", "0.5", "--phi", "2e9", "--degrees"],
             ["sweep", "--phi-max", "1e300"],
             ["sweep", "--phi-min=-1e300", "--phi-max=0"],
+            # a finite computed phase of 6.3e17 radians
+            ["gravity", "--mass", "1e-3", "--length", "1", "--distance", "1"],
         ],
     )
     def test_unresolvable_phase_exits_2_without_traceback(self, capsys, tmp_path, flags):
@@ -449,19 +453,29 @@ class TestSweep:
 
 
 class TestOptimize:
-    def test_default_search_hits_the_optimum(self, capsys):
-        data = run_json(capsys, ["optimize"])
-        outputs = data["outputs"]
+    @staticmethod
+    def assert_on_the_optimum(outputs):
         assert abs(outputs["violation_star"] - 0.0990) <= 1e-4
         assert abs(outputs["r_star"] - 0.58309) <= 1e-4
         assert abs(outputs["phi_star"] - math.pi) <= 1e-6
         assert outputs["at_boundary"] is False
         assert outputs["iterations"] > 0
 
+    def test_default_search_hits_the_optimum(self, capsys):
+        self.assert_on_the_optimum(run_json(capsys, ["optimize"])["outputs"])
+
+    @pytest.mark.parametrize("tol", ["5e-324", "1e-200"])
+    def test_tiny_tolerance_stays_within_budget(self, capsys, tol):
+        # refinement rounds grow with log(span / tol), not with 1 / tol
+        start = time.perf_counter()
+        outputs = run_json(capsys, ["optimize", "--refine-tol", tol])["outputs"]
+        assert time.perf_counter() - start < 5.0
+        self.assert_on_the_optimum(outputs)
+
     def test_default_report_is_pinned(self, capsys):
         code, out, err = run_cli(capsys, ["optimize"])
         assert code == 0 and err == ""
-        assert json.loads(out)["outputs"]["iterations"] == 40197
+        assert json.loads(out)["outputs"]["iterations"] == 40896
         assert hashlib.sha256(out.encode()).hexdigest() == OPTIMIZE_DEFAULT_SHA256
 
     def test_bad_tolerance_exits_2(self, capsys):

@@ -166,6 +166,24 @@ class TestMiddleTermCheck:
         with pytest.raises(PipelineError, match="middle terms .* at r=0.5, phi=1.0"):
             violation_at(0.5, 1.0)
 
+        # A refinement batch gives every point its own ratio: the message names
+        # the ratio and phase of the leaking point, here the batch's last.
+        leaked = []
+
+        def leaky_refinement(batch):
+            readout = real_run_pair(batch)
+            if np.ndim(batch.bs.r):
+                points = batch.rows // 4
+                readout.prob(("U", "D"))[points - 1 :: points] += 1e-9
+                leaked.append((float(batch.bs.r[points - 1]), float(batch.phi[points - 1])))
+            return readout
+
+        monkeypatch.setattr(explore, "run_pair", leaky_refinement)
+        with pytest.raises(PipelineError, match="middle terms") as failure:
+            find_max_violation(TestFindMaxViolation.GRID)
+        ((r, phi),) = leaked
+        assert str(failure.value).endswith(f" at r={r!r}, phi={phi!r}")
+
     def test_nan_term_fails(self):
         with pytest.raises(PipelineError, match="phi=0.5"):
             check_middle_terms(0.4, self.PHIS, np.array([math.nan, 0.0, 0.0]), np.zeros(3))
