@@ -27,8 +27,6 @@ from .bell import (
 from .experiments import (
     GRAVITATIONAL_CONSTANT,
     HBAR,
-    Coupling,
-    ExperimentConfig,
     GravityParams,
     PairBatch,
     dark_port_coefficient,

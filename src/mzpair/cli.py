@@ -23,8 +23,6 @@ from .bell import (
     side_outcomes,
 )
 from .experiments import (
-    Coupling,
-    ExperimentConfig,
     GravityParams,
     PairBatch,
     ev_retest_efficiency,
@@ -112,6 +110,8 @@ PHASE_ULP_LIMIT = 2.0 * math.pi * 1e-9
 
 def _angle(value: float, degrees: bool) -> float:
     phi = math.radians(value) if degrees else value
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi!r}")
     if math.ulp(phi) > PHASE_ULP_LIMIT:
         raise ValueError(
             f"phase {phi!r} is too large to resolve: its float spacing exceeds 2*pi*1e-9"
@@ -149,10 +149,8 @@ def _pair_outputs(dist, placed: tuple[bool, bool], suffixes: tuple[str, str]) ->
 
 def cmd_annihilation(args: argparse.Namespace) -> int:
     bs = BeamSplitterParams.from_r(args.r)
-    config = ExperimentConfig(
-        bs=bs, coupling=Coupling.annihilation(), u1=args.place_u_plus, u2=args.place_u_minus
-    )
-    dist = run_pair(PairBatch.of(config)).row(0)
+    batch = PairBatch.of(bs, annihilate=True, u1=args.place_u_plus, u2=args.place_u_minus)
+    dist = run_pair(batch).row(0)
     outputs = _pair_outputs(dist, (args.place_u_plus, args.place_u_minus), ("plus", "minus"))
     outputs["joint"]["p_gamma"] = dist.prob("gamma")
     inputs = {
@@ -167,10 +165,7 @@ def cmd_annihilation(args: argparse.Namespace) -> int:
 def cmd_phase(args: argparse.Namespace) -> int:
     bs = BeamSplitterParams.from_r(args.r)
     phi = _angle(args.phi, args.degrees)
-    config = ExperimentConfig(
-        bs=bs, coupling=Coupling.phase(phi), u1=args.place_u1, u2=args.place_u2
-    )
-    dist = run_pair(PairBatch.of(config)).row(0)
+    dist = run_pair(PairBatch.of(bs, phi=phi, u1=args.place_u1, u2=args.place_u2)).row(0)
     inputs = {
         "r": args.r,
         "phi": phi,

@@ -34,8 +34,6 @@ from .state import (
 __all__ = [
     "GRAVITATIONAL_CONSTANT",
     "HBAR",
-    "Coupling",
-    "ExperimentConfig",
     "GravityParams",
     "SETTINGS",
     "PairBatch",
@@ -50,56 +48,9 @@ __all__ = [
 GRAVITATIONAL_CONSTANT = 6.67430e-11  # m^3 kg^-1 s^-2 (CODATA 2018)
 HBAR = 1.054571817e-34  # J s (CODATA 2018)
 
-_COUPLING_KINDS = ("none", "annihilation", "phase")
-
 # Detector placements (side 1, side 2); True when the in-arm detector is placed.
 SETTINGS = ((True, True), (True, False), (False, True), (False, False))
 _SETTING_COLUMNS = np.array(SETTINGS).T  # the u1 and u2 masks over SETTINGS
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """How the two interferometers interact where their arms overlap."""
-
-    kind: str
-    phi: float = 0.0  # radians, used by the "phase" kind only
-
-    def __post_init__(self) -> None:
-        if self.kind not in _COUPLING_KINDS:
-            raise ValueError(f"coupling kind must be one of {_COUPLING_KINDS}, got {self.kind!r}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"coupling phase must be finite, got {self.phi!r}")
-
-    @classmethod
-    def none(cls) -> "Coupling":
-        return cls("none")
-
-    @classmethod
-    def annihilation(cls) -> "Coupling":
-        return cls("annihilation")
-
-    @classmethod
-    def phase(cls, phi: float) -> "Coupling":
-        return cls("phase", phi=phi)
-
-    @property
-    def normalized_phi(self) -> float:
-        """Phase folded into [0, 2*pi) for reporting; arithmetic uses the raw value."""
-        return self.phi % (2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A twin-interferometer run: splitter ratio, coupling, detector placement.
-
-    ``u1``/``u2`` place an absorbing detector on the respective particle's
-    ``u`` arm, between the splitters.
-    """
-
-    bs: BeamSplitterParams
-    coupling: Coupling
-    u1: bool = False
-    u2: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,18 +74,24 @@ class PairBatch:
         return len(self.phi)
 
     @classmethod
-    def of(cls, *configs: ExperimentConfig) -> "PairBatch":
-        """One row per configuration, in order."""
-        bs = BeamSplitterParams(
-            t=np.array([c.bs.t for c in configs]), r=np.array([c.bs.r for c in configs])
-        )
-        phi = [c.coupling.phi if c.coupling.kind == "phase" else 0.0 for c in configs]
+    def of(
+        cls, bs: BeamSplitterParams, *, phi=0.0, annihilate=False, u1=False, u2=False
+    ) -> "PairBatch":
+        """Twin runs from columns, each given as one value for every row or one per row.
+
+        The batch has as many rows as the per-row arguments, one if there are
+        none; ``bs`` is kept as given.  Per-row arguments of different
+        lengths, or empty ones, raise ``ValueError``.
+        """
+        (rows,) = np.broadcast_shapes((1,), *map(np.shape, (bs.r, phi, annihilate, u1, u2)))
+        if rows == 0:
+            raise ValueError("a batch needs at least one row")
         return cls(
             bs,
-            np.array(phi),
-            np.array([c.coupling.kind == "annihilation" for c in configs]),
-            np.array([c.u1 for c in configs]),
-            np.array([c.u2 for c in configs]),
+            np.full(rows, phi, dtype=float),
+            np.full(rows, annihilate, dtype=bool),
+            np.full(rows, u1, dtype=bool),
+            np.full(rows, u2, dtype=bool),
         )
 
     @classmethod

@@ -506,7 +506,9 @@ def apply_phase_coupling(state: JointState, phi: float | np.ndarray) -> JointSta
     _require(state, _strays(state.keys, _INTERNAL_PAIR), message)
     phi = np.asarray(phi, dtype=float)
     if not np.isfinite(phi).all():
-        raise ValueError(f"coupling phase must be finite, got {phi!r}")
+        row = np.flatnonzero(~np.isfinite(phi))[0]  # a shared phase reports row 0
+        value = float(phi.flat[row])
+        raise ValueError(f"coupling phase must be finite, got {value!r} in row {row}")
     if (V, V) not in state.keys:
         return JointState(state.amps, state.keys)
     # numpy's complex exp evaluates libm's exp, cos and sin, as cmath.exp does.

@@ -18,8 +18,6 @@ from mzpair.bell import (
     lhv_membership,
 )
 from mzpair.experiments import (
-    Coupling,
-    ExperimentConfig,
     PairBatch,
     ev_retest_efficiency,
     run_ev,
@@ -55,15 +53,10 @@ def test_01_ev_dark_port():
 def test_02_annihilation_quadruple():
     start = time.perf_counter()
     bs = BeamSplitterParams.balanced()
-    coupling = Coupling.annihilation()
-    dist = run_pair(
-        PairBatch.of(
-            ExperimentConfig(bs=bs, coupling=coupling),
-            ExperimentConfig(bs=bs, coupling=coupling, u1=True, u2=True),
-            ExperimentConfig(bs=bs, coupling=coupling, u2=True),
-            ExperimentConfig(bs=bs, coupling=coupling, u1=True),
-        )
+    batch = PairBatch.of(
+        bs, annihilate=True, u1=[False, True, False, True], u2=[False, True, True, False]
     )
+    dist = run_pair(batch)
     plain, paired, minus_only, plus_only = (dist.row(k) for k in range(4))
     worst = max(
         abs(plain.prob(("D", "D")) - 1.0 / 16.0),
@@ -82,12 +75,7 @@ def test_02_annihilation_quadruple():
 def test_03_tuned_phase_point():
     start = time.perf_counter()
     bs = BeamSplitterParams.from_r_squared((2.0 - math.sqrt(2.0)) / 2.0)
-    dist = run_pair(
-        PairBatch.of(
-            ExperimentConfig(bs=bs, coupling=Coupling.phase(math.pi)),
-            ExperimentConfig(bs=bs, coupling=Coupling.phase(math.pi), u1=True, u2=True),
-        )
-    )
+    dist = run_pair(PairBatch.of(bs, phi=math.pi, u1=[False, True], u2=[False, True]))
     dark, loud = dist.row(0), dist.row(1)
     p_cc = dark.prob(("C", "C"))
     p_uu = loud.prob(("U", "U"))
@@ -108,9 +96,8 @@ def test_04_middle_terms_vanish():
     for r in grid.r_values():
         bs = BeamSplitterParams.from_r(r)
         for phi in grid.phi_values():
-            coupling = Coupling.phase(phi)
-            one = run_pair(PairBatch.of(ExperimentConfig(bs=bs, coupling=coupling, u1=True)))
-            two = run_pair(PairBatch.of(ExperimentConfig(bs=bs, coupling=coupling, u2=True)))
+            one = run_pair(PairBatch.of(bs, phi=phi, u1=True))
+            two = run_pair(PairBatch.of(bs, phi=phi, u2=True))
             worst = max(worst, one.row(0).prob(("U", "D")), two.row(0).prob(("D", "U")))
     elapsed = time.perf_counter() - start
     _report(

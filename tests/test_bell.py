@@ -23,7 +23,7 @@ from mzpair.bell import (
     paradox_statement_probs,
     side_outcomes,
 )
-from mzpair.experiments import Coupling, ExperimentConfig, PairBatch, run_pair
+from mzpair.experiments import PairBatch, run_pair
 from mzpair.state import BeamSplitterParams
 
 ATOL = 1e-12
@@ -161,10 +161,7 @@ class TestSimulatedBehavior:
         phi = 2.2
         behavior = behavior_from_phase_setup(bs, phi)
         for setting in SETTINGS:
-            config = ExperimentConfig(
-                bs=bs, coupling=Coupling.phase(phi), u1=setting[0], u2=setting[1]
-            )
-            direct = run_pair(PairBatch.of(config)).row(0)
+            direct = run_pair(PairBatch.of(bs, phi=phi, u1=setting[0], u2=setting[1])).row(0)
             for side in (0, 1):
                 table = behavior.marginal(side, setting[side], setting[1 - side])
                 raw = direct.marginal(side)

@@ -311,7 +311,7 @@ class TestBell:
 
 
 class TestPhaseResolution:
-    """A phase at or beyond 2**25 radians is a float too coarse to name a phase."""
+    """A phase at or beyond 2**25 radians, or a non-finite one, names no phase."""
 
     SMALL_GRID = ["--r-min", "0.3", "--r-max", "0.5", "--r-steps", "2", "--phi-steps", "2"]
 
@@ -327,6 +327,9 @@ class TestPhaseResolution:
             ["sweep", "--phi-min=-1e300", "--phi-max=0"],
             # a finite computed phase of 6.3e17 radians
             ["gravity", "--mass", "1e-3", "--length", "1", "--distance", "1"],
+            ["phase", "--r", "0.5", "--phi", "nan"],
+            ["bell", "--r", "0.5", "--phi", "nan"],
+            ["sweep", "--phi-min", "nan"],
         ],
     )
     def test_unresolvable_phase_exits_2_without_traceback(self, capsys, tmp_path, flags):
@@ -337,6 +340,7 @@ class TestPhaseResolution:
         assert out == ""
         assert err.startswith("error: phase")
         assert "Traceback" not in err
+        assert "array(" not in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("phi", ["1e6", "-1e6", repr(math.nextafter(2.0**25, 0.0))])

@@ -3,13 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mzpair.experiments import (
     GRAVITATIONAL_CONSTANT,
     HBAR,
-    Coupling,
-    ExperimentConfig,
     GravityParams,
     PairBatch,
     dark_port_coefficient,
@@ -86,8 +85,7 @@ class TestRetestEfficiency:
 
 class TestAnnihilationPair:
     def _run(self, bs, u1=False, u2=False):
-        config = ExperimentConfig(bs=bs, coupling=Coupling.annihilation(), u1=u1, u2=u2)
-        return run_pair(PairBatch.of(config)).row(0)
+        return run_pair(PairBatch.of(bs, annihilate=True, u1=u1, u2=u2)).row(0)
 
     def test_joint_dark_clicks_and_gamma(self):
         rng = random.Random(14)
@@ -126,8 +124,7 @@ class TestAnnihilationPair:
 
 class TestPhasePair:
     def _run(self, bs, phi, u1=False, u2=False):
-        config = ExperimentConfig(bs=bs, coupling=Coupling.phase(phi), u1=u1, u2=u2)
-        return run_pair(PairBatch.of(config)).row(0)
+        return run_pair(PairBatch.of(bs, phi=phi, u1=u1, u2=u2)).row(0)
 
     def test_zero_phase_is_all_bright(self):
         dist = self._run(BeamSplitterParams.from_r(0.37), 0.0)
@@ -159,28 +156,17 @@ class TestPhasePair:
         assert abs(loud.prob(("U", "U")) - TUNED_JOINT_PROB) <= ATOL
         assert abs(loud.prob(("U", "U")) - 0.0857) <= 5e-4
 
-    def test_none_coupling_matches_zero_phase(self):
-        bs = BeamSplitterParams.from_r(0.61)
-        plain = run_pair(PairBatch.of(ExperimentConfig(bs=bs, coupling=Coupling.none()))).row(0)
-        phased = self._run(bs, 0.0)
-        keys = set(plain.probabilities) | set(phased.probabilities)
-        for key in keys:
-            assert abs(plain.prob(key) - phased.prob(key)) <= ATOL
-
 
 class TestDarkPortCoefficient:
     def test_matches_simulated_joint_bright_amplitude(self):
         rng = random.Random(18)
-        configs = [
-            ExperimentConfig(
-                bs=BeamSplitterParams.from_r(rng.uniform(0.05, 0.95)),
-                coupling=Coupling.phase(rng.uniform(0.0, 2.0 * math.pi)),
-            )
-            for _ in range(100)
-        ]
-        state = run_pair_state(PairBatch.of(*configs))
-        for amp, config in zip(state.amplitude((C, C)), configs):
-            assert abs(amp - dark_port_coefficient(config.bs, config.coupling.phi)) <= ATOL
+        draws = [(rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(100)]
+        r, phi = np.array(draws).T
+        bs = BeamSplitterParams(t=np.sqrt(1.0 - r * r), r=r)
+        state = run_pair_state(PairBatch.of(bs, phi=phi))
+        for amp, (ratio, angle) in zip(state.amplitude((C, C)), draws):
+            expected = dark_port_coefficient(BeamSplitterParams.from_r(ratio), angle)
+            assert abs(amp - expected) <= ATOL
 
     def test_zero_phase_is_minus_one(self):
         rng = random.Random(19)
@@ -191,28 +177,58 @@ class TestDarkPortCoefficient:
     def test_probability_is_squared_magnitude(self):
         bs = BeamSplitterParams.from_r(0.52)
         phi = 2.31
-        config = ExperimentConfig(bs=bs, coupling=Coupling.phase(phi))
-        dist = run_pair(PairBatch.of(config)).row(0)
+        dist = run_pair(PairBatch.of(bs, phi=phi)).row(0)
         assert abs(dist.prob(("C", "C")) - abs(dark_port_coefficient(bs, phi)) ** 2) <= ATOL
 
 
+class TestPairBatch:
+    BS = BeamSplitterParams.from_r(0.5)
+    PER_ROW_BS = BeamSplitterParams(t=np.array([0.8, 0.6, 0.6]), r=np.array([0.6, 0.8, 0.8]))
+
+    # columns are (phi, annihilate, u1, u2); None when PairBatch.of must raise
+    @pytest.mark.parametrize(
+        "bs, kwargs, columns",
+        [
+            pytest.param(BS, {}, ([0.0], [False], [False], [False]), id="all-shared"),
+            pytest.param(
+                BS,
+                {"phi": 1.5, "annihilate": True, "u2": True},
+                ([1.5], [True], [False], [True]),
+                id="shared-values",
+            ),
+            pytest.param(
+                PER_ROW_BS,
+                {"u1": True},
+                ([0.0] * 3, [False] * 3, [True] * 3, [False] * 3),
+                id="per-row-bs",
+            ),
+            pytest.param(
+                BS,
+                {"phi": [0.0, 2.0], "u1": [True, False]},
+                ([0.0, 2.0], [False, False], [True, False], [False, False]),
+                id="per-row-phi",
+            ),
+            pytest.param(BS, {"phi": [0.0, 1.0], "u1": [True, False, True]}, None, id="mismatch"),
+            pytest.param(PER_ROW_BS, {"phi": [0.0, 1.0]}, None, id="bs-mismatch"),
+            pytest.param(BS, {"phi": []}, None, id="no-row"),
+        ],
+    )
+    def test_of_builds_one_column_per_field(self, bs, kwargs, columns):
+        if columns is None:
+            with pytest.raises(ValueError):
+                PairBatch.of(bs, **kwargs)
+            return
+        batch = PairBatch.of(bs, **kwargs)
+        assert batch.bs is bs
+        assert batch.rows == len(columns[0])
+        for name, expected in zip(("phi", "annihilate", "u1", "u2"), columns):
+            assert getattr(batch, name).tolist() == expected, name
+
+
 class TestCoupling:
-    def test_kinds(self):
-        assert Coupling.none().kind == "none"
-        assert Coupling.annihilation().kind == "annihilation"
-        assert Coupling.phase(1.5).phi == 1.5
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="coupling kind"):
-            Coupling("dispersive")
-
     def test_rejects_non_finite_phase(self):
         with pytest.raises(ValueError, match="finite"):
-            Coupling.phase(math.inf)
-
-    def test_normalized_phi_folds_into_one_turn(self):
-        assert abs(Coupling.phase(3.0 * math.pi).normalized_phi - math.pi) <= ATOL
-        assert abs(Coupling.phase(-0.5 * math.pi).normalized_phi - 1.5 * math.pi) <= ATOL
+            run_pair(PairBatch.of(BeamSplitterParams.balanced(), phi=math.inf))
 
 
 class TestGravityPhase:

@@ -8,13 +8,7 @@ import pytest
 
 from mzpair import explore
 from mzpair.bell import behavior_from_phase_setup, bell_violation
-from mzpair.experiments import (
-    Coupling,
-    ExperimentConfig,
-    PairBatch,
-    dark_port_coefficient,
-    run_pair,
-)
+from mzpair.experiments import PairBatch, dark_port_coefficient, run_pair
 from mzpair.explore import (
     DEFAULT_GRID,
     MIDDLE_TERM_TOL,
@@ -287,8 +281,7 @@ class TestDarkPortTuning:
         r = find_dark_port_tuning(math.pi)
         bs = BeamSplitterParams.from_r(r)
         assert abs(dark_port_coefficient(bs, math.pi)) ** 2 <= ATOL
-        config = ExperimentConfig(bs=bs, coupling=Coupling.phase(math.pi))
-        dist = run_pair(PairBatch.of(config)).row(0)
+        dist = run_pair(PairBatch.of(bs, phi=math.pi)).row(0)
         assert dist.prob(("C", "C")) <= ATOL
 
     def test_odd_half_turns_work_too(self):

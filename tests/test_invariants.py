@@ -4,6 +4,8 @@
   implementations: they import nothing from ``mzpair``, and no module of the
   package imports them.
 * Correctness checks raise explicitly, so they survive ``python -O``.
+* The package exports a fixed list of names; ``mzpair.__all__`` is built
+  from its imports, so an export can otherwise change without a diff here.
 """
 
 import ast
@@ -11,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import mzpair
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -112,3 +116,55 @@ def test_checks_survive_optimized_mode():
         "weights checked",
         "",
     ]
+
+
+PUBLIC_API = [
+    "BeamSplitterParams",
+    "BehaviorTable",
+    "BellReport",
+    "DEFAULT_GRID",
+    "DeterministicStrategy",
+    "GRAVITATIONAL_CONSTANT",
+    "GravityParams",
+    "HBAR",
+    "HardyConstants",
+    "JointState",
+    "LhvMembership",
+    "LocalStrategy",
+    "Optimum",
+    "OutcomeDistribution",
+    "PairBatch",
+    "PipelineError",
+    "Readout",
+    "SweepGrid",
+    "__version__",
+    "apply_absorber",
+    "apply_annihilation_coupling",
+    "apply_bs1",
+    "apply_bs2",
+    "apply_phase_coupling",
+    "behavior_from_phase_setup",
+    "bell_violation",
+    "dark_port_coefficient",
+    "enumerate_deterministic_strategies",
+    "ev_retest_efficiency",
+    "find_dark_port_tuning",
+    "find_max_violation",
+    "find_max_violation_at_phi",
+    "first_max",
+    "gravity_phase",
+    "hardy_constants",
+    "lhv_membership",
+    "logical_inequality",
+    "measure",
+    "paradox_statement_probs",
+    "run_ev",
+    "run_pair",
+    "run_pair_state",
+    "sweep",
+    "violation_at",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(mzpair.__all__) == PUBLIC_API

@@ -11,14 +11,7 @@ import random
 import dense_oracle as oracle
 import numpy as np
 
-from mzpair.experiments import (
-    SETTINGS,
-    Coupling,
-    ExperimentConfig,
-    PairBatch,
-    run_pair,
-    run_pair_state,
-)
+from mzpair.experiments import SETTINGS, PairBatch, run_pair, run_pair_state
 from mzpair.state import (
     GAMMA,
     NONE,
@@ -98,45 +91,53 @@ def test_thousand_random_pipelines_agree():
     assert worst_norm <= ATOL
 
 
-def random_batch(count, seed):
-    """Configurations with mixed ratio, phase, detector setting and coupling kind."""
+def random_runs(count, seed):
+    """Twin runs ``(r, kind, phi, u1, u2)`` of mixed ratio, phase, placement and coupling kind.
+
+    ``phi`` is 0 unless the kind is ``"phase"``.
+    """
     rng = random.Random(seed)
-    kinds = {
-        "none": lambda phi: Coupling.none(),
-        "annihilation": lambda phi: Coupling.annihilation(),
-        "phase": Coupling.phase,
-    }
-    configs = []
+    runs = []
     for _ in range(count):
-        kind = rng.choice(sorted(kinds))
+        kind = rng.choice(("annihilation", "none", "phase"))
         u1, u2 = rng.choice(SETTINGS)
-        bs = BeamSplitterParams.from_r(rng.uniform(0.05, 0.95))
-        configs.append(ExperimentConfig(bs, kinds[kind](rng.uniform(0.0, 2.0 * math.pi)), u1, u2))
-    return configs
+        r = rng.uniform(0.05, 0.95)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        runs.append((r, kind, phi if kind == "phase" else 0.0, u1, u2))
+    return runs
 
 
-def dense_plan(config):
+def pair_batch(runs):
+    """The runs as engine columns: per-row ratios, or one shared ratio for a single run."""
+    r, kind, phi, u1, u2 = (np.array(column) for column in zip(*runs))
+    if len(runs) == 1:
+        bs = BeamSplitterParams.from_r(float(r[0]))
+    else:
+        bs = BeamSplitterParams(t=np.sqrt(1.0 - r * r), r=r)
+    return PairBatch.of(bs, phi=phi, annihilate=kind == "annihilation", u1=u1, u2=u2)
+
+
+def dense_plan(run):
+    r, kind, phi, u1, u2 = run
     return {
         "kind": "pair",
-        "r": config.bs.r,
-        "coupling": config.coupling.kind,
-        "phi": config.coupling.phi,
+        "r": r,
+        "coupling": kind,
+        "phi": phi,
         "absorbers": [
-            (particle, "u", "absorbed")
-            for particle, placed in ((0, config.u1), (1, config.u2))
-            if placed
+            (particle, "u", "absorbed") for particle, placed in ((0, u1), (1, u2)) if placed
         ],
     }
 
 
 def test_mixed_batch_agrees_with_the_oracle_row_by_row():
-    configs = random_batch(300, 8128)
-    batch = PairBatch.of(*configs)
+    runs = random_runs(300, 8128)
+    batch = pair_batch(runs)
     state = run_pair_state(batch)
     readout = run_pair(batch)
     worst_amp = worst_prob = 0.0
-    for row, config in enumerate(configs):
-        plan = dense_plan(config)
+    for row, run in enumerate(runs):
+        plan = dense_plan(run)
         dense = oracle.run_dense_plan(plan)
         worst_amp = max(worst_amp, max_amplitude_diff(plan, state, dense, row))
         worst_prob = max(worst_prob, max_probability_diff(readout, dense, row))
@@ -148,16 +149,16 @@ def test_mixed_batch_agrees_with_the_oracle_row_by_row():
 def test_batch_rows_are_bit_identical_to_batches_of_one():
     # A batch of one can list fewer keys than the batch it came from, so
     # compare every key either state lists; an unlisted key reads as 0.
-    configs = random_batch(120, 4099)
-    state = run_pair_state(PairBatch.of(*configs))
-    readout = run_pair(PairBatch.of(*configs))
-    for row, config in enumerate(configs):
-        alone = run_pair_state(PairBatch.of(config))
+    runs = random_runs(120, 4099)
+    state = run_pair_state(pair_batch(runs))
+    readout = run_pair(pair_batch(runs))
+    for row, run in enumerate(runs):
+        alone = run_pair_state(pair_batch([run]))
         for key in set(state.keys) | set(alone.keys):
             assert state.amplitude(key)[row].tobytes() == alone.amplitude(key)[0].tobytes(), key
         assert state.gamma[row].tobytes() == alone.gamma[0].tobytes()
-        assert readout.table[row].tobytes() == run_pair(PairBatch.of(config)).table[0].tobytes()
-        assert readout.row(row) == run_pair(PairBatch.of(config)).row(0)
+        assert readout.table[row].tobytes() == run_pair(pair_batch([run])).table[0].tobytes()
+        assert readout.row(row) == run_pair(pair_batch([run])).row(0)
 
 
 

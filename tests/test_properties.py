@@ -3,6 +3,7 @@
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,14 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from mzpair.bell import behavior_from_phase_setup  # noqa: E402
-from mzpair.experiments import (  # noqa: E402
-    SETTINGS,
-    Coupling,
-    ExperimentConfig,
-    PairBatch,
-    run_pair,
-    run_pair_state,
-)
+from mzpair.experiments import SETTINGS, PairBatch, run_pair, run_pair_state  # noqa: E402
 from mzpair.state import NORM_TOL, BeamSplitterParams  # noqa: E402
 
 ATOL = 1e-12
@@ -30,24 +24,34 @@ phases = st.floats(-7.0, 7.0)
 
 
 @st.composite
-def configs(draw):
-    """One twin run: its own splitter ratio, coupling kind and detector placement."""
+def runs(draw):
+    """One twin run ``(r, phi, annihilate, u1, u2)``: its ratio, coupling kind and placement."""
     kind = draw(st.sampled_from(["none", "annihilation", "phase"]))
-    coupling = Coupling.phase(draw(phases)) if kind == "phase" else Coupling(kind)
+    phi = draw(phases) if kind == "phase" else 0.0
     u1, u2 = draw(st.sampled_from(SETTINGS))
-    return ExperimentConfig(BeamSplitterParams.from_r(draw(ratios)), coupling, u1, u2)
+    return draw(ratios), phi, kind == "annihilation", u1, u2
 
 
-def swapped(config):
-    return ExperimentConfig(config.bs, config.coupling, config.u2, config.u1)
+def pair_batch(rows):
+    r, phi, annihilate, u1, u2 = (np.array(column) for column in zip(*rows))
+    bs = BeamSplitterParams(t=np.sqrt(1.0 - r * r), r=r)
+    return PairBatch.of(bs, phi=phi, annihilate=annihilate, u1=u1, u2=u2)
+
+
+batches = st.lists(runs(), min_size=1, max_size=12).map(pair_batch)
+
+
+def swapped(batch):
+    """The batch with its particles exchanged: the detector columns trade places."""
+    return dataclasses.replace(batch, u1=batch.u2, u2=batch.u1)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.lists(configs(), min_size=1, max_size=12))
+@given(batches)
 def test_norm_is_conserved_over_mixed_batches(batch):
-    state = run_pair_state(PairBatch.of(*batch))
+    state = run_pair_state(batch)
     assert np.max(np.abs(state.norm_squared() - 1.0)) <= NORM_TOL
-    readout = run_pair(PairBatch.of(*batch))
+    readout = run_pair(batch)
     totals = readout.table.sum(axis=(1, 2)) + readout.gamma
     assert np.max(np.abs(totals - 1.0)) <= NORM_TOL
 
@@ -63,10 +67,10 @@ def test_phase_is_periodic_in_two_pi(r, phi):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.lists(configs(), min_size=1, max_size=12))
+@given(batches)
 def test_swapping_the_particles_transposes_the_table(batch):
-    readout = run_pair(PairBatch.of(*batch))
-    mirrored = run_pair(PairBatch.of(*map(swapped, batch)))
+    readout = run_pair(batch)
+    mirrored = run_pair(swapped(batch))
     assert np.max(np.abs(mirrored.table - readout.table.transpose(0, 2, 1))) <= ATOL
     assert np.max(np.abs(mirrored.gamma - readout.gamma)) <= ATOL
 

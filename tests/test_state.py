@@ -180,11 +180,19 @@ class TestPhaseCoupling:
         for phi, amp in zip(phis, out.amplitude((V, V))):
             assert complex(amp) == vv * cmath.exp(1j * phi)
 
-    @pytest.mark.parametrize("phi", [math.inf, math.nan])
-    def test_rejects_non_finite_phase(self, phi):
+    @pytest.mark.parametrize(
+        "phi, found",
+        [
+            pytest.param(math.inf, "inf in row 0", id="inf"),
+            pytest.param(math.nan, "nan in row 0", id="nan"),
+            pytest.param([0.0, 1.0, -2.0, math.nan, math.inf], "nan in row 3", id="per-row"),
+        ],
+    )
+    def test_rejects_non_finite_phase(self, phi, found):
         params = BeamSplitterParams.balanced()
-        with pytest.raises(ValueError, match="finite"):
-            apply_phase_coupling(self._product(params), phi)
+        state = apply_bs1(apply_bs1(JointState.pair(5), 0, params), 1, params)
+        with pytest.raises(ValueError, match=f"must be finite, got {found}$"):
+            apply_phase_coupling(state, phi)
 
     def test_norm_preserved(self):
         params = BeamSplitterParams.from_r(0.6)
