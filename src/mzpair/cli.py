@@ -14,6 +14,9 @@ import dataclasses
 import json
 import math
 import sys
+from itertools import repeat
+
+import numpy as np
 
 from .bell import (
     behavior_from_phase_setup,
@@ -198,12 +201,49 @@ def cmd_bell(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _column_texts(values: np.ndarray) -> list[str]:
+    """``_format_real`` of each finite value, with a Python call only near integers."""
+    texts = list(map(format, values.tolist(), repeat(".12g")))
+    # ``.12g`` text lacks both "." and "e" only in fixed notation without
+    # fraction digits, i.e. when x rounded to 12 significant digits is an
+    # integer y.  That rounding moves x by at most half a unit in the 12th
+    # digit, 0.5 * 10**(e - 11) <= 0.5e-11 * |x| for 10**e <= |x|, so
+    # |x - round(x)| <= |x - y| <= 0.5e-11 * |x| and the test below holds:
+    # x - round(x) is exact in binary floating point, 1e-11 * |x| leaves a
+    # factor of 2 for its rounding and cannot underflow when y != 0, since
+    # then |x| > 0.5; y = 0 only at x = +-0.0, where both sides are 0 (so
+    # -0.0 goes through _format_real's collapse too).
+    near = np.abs(values - np.round(values)) <= 1e-11 * np.abs(values)
+    for k in np.flatnonzero(near).tolist():
+        texts[k] = _format_real(float(values[k]))
+    return texts
+
+
 def _written(handle, blocks):
-    """Pass scan ``blocks`` on, each after its CSV rows are written to ``handle``."""
+    """Pass sweep ``blocks`` on, each after its CSV rows are written to ``handle``.
+
+    A block's rows go out as one string, with the bytes ``_format_real`` gives
+    each value: ``r`` is formatted once per block, each phase block once per
+    sweep (the sweep repeats one grid row's phase blocks, so the cache holds
+    one row), and each probability column with one ``format`` call per value.
+    A non-finite value ends the block's output at the row before it and raises
+    ``_format_real``'s error for it.
+    """
+    phi_texts = {}
     for block in blocks:
-        r, phis, p1, p4, v = block
-        for row in zip(phis, p1.tolist(), p4.tolist(), v.tolist()):
-            handle.write(",".join(_format_real(x) for x in (r, *row)) + "\n")
+        r, phis, *terms = block
+        r_text = _format_real(r)
+        columns = np.array([phis, *terms], dtype=float)
+        finite = np.isfinite(columns).all(axis=0)
+        rows = len(finite) if finite.all() else int(finite.argmin())
+        key = tuple(phis[:rows])
+        if key not in phi_texts:
+            phi_texts[key] = _column_texts(columns[0, :rows])
+        cells = zip(repeat(r_text), phi_texts[key], *map(_column_texts, columns[1:, :rows]))
+        handle.write("\n".join([*map(",".join, cells), ""]))
+        if rows < len(finite):
+            for x in columns[:, rows].tolist():
+                _format_real(x)  # raises at the row's first non-finite value
         yield block
 
 

@@ -100,12 +100,18 @@ class PairBatch:
         has the placements ``SETTINGS[k]`` and the phase ``phis[j]``.
 
         ``bs`` is shared by every row, or holds one ratio per phase, tiled
-        over the settings as the phases are.
+        over the settings as the phases are; any other count of ratios raises
+        ``ValueError``.
         """
         phis = np.asarray(phis, dtype=float)
         u1, u2 = np.repeat(_SETTING_COLUMNS, len(phis), axis=1)
         no_annihilation = np.zeros(len(u1), dtype=bool)
         if isinstance(bs.r, np.ndarray):
+            if bs.r.shape != phis.shape:
+                raise ValueError(
+                    f"need one splitter ratio per phase, got {bs.r.size} ratios "
+                    f"for {phis.size} phases"
+                )
             bs = BeamSplitterParams(
                 t=np.concatenate((bs.t,) * len(SETTINGS)), r=np.concatenate((bs.r,) * len(SETTINGS))
             )

@@ -107,20 +107,39 @@ def test_04_middle_terms_vanish():
     )
 
 
+def closed_form_optimum():
+    """``(r*, v*)``: the violation peaks at phi = pi, where p_u1u2 = x^2 and
+    p_c1c2 = (-2x^2 + 4x - 1)^2 with x = r^2; their difference has the
+    derivative -2 (8x^3 - 24x^2 + 19x - 4), whose root in (1/4, 1/2) is x*."""
+    lo, hi = 0.25, 0.5  # the cubic rises from -0.625 to 0.5 between them
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if 8.0 * mid**3 - 24.0 * mid**2 + 19.0 * mid - 4.0 < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    return math.sqrt(x), x * x - (-2.0 * x * x + 4.0 * x - 1.0) ** 2
+
+
 def test_05_violation_optimum():
+    # Bounds: refinement stops once its box half-width is within refine_tol
+    # = 1e-8, and near the peak (d2v/dr2 = -14.8, d2v/dphi2 = -0.49) the
+    # ~1e-16 rounding of v leaves r undetermined over ~4e-9 and phi over
+    # ~2e-8; so r within 5e-8 and phi within 1e-7.  A point at both limits
+    # falls 14.8/2 * (5e-8)**2 + 0.49/2 * (1e-7)**2 = 2.1e-14 below v*; no
+    # simulated v may exceed v* beyond rounding.
+    r_star, v_star = closed_form_optimum()  # 0.583090158789221, 0.0990105601877365
     start = time.perf_counter()
     opt = find_max_violation()
     elapsed = time.perf_counter() - start
-    ok = (
-        abs(opt.violation_star - 0.0990) <= 1e-4
-        and abs(opt.r_star - 0.58309) <= 1e-4
-        and abs(opt.phi_star - math.pi) <= 1e-6
-        and elapsed < 1.0
-    )
+    dr, dphi, dv = opt.r_star - r_star, opt.phi_star - math.pi, opt.violation_star - v_star
+    ok = -3e-14 <= dv <= 1e-15 and abs(dr) <= 5e-8 and abs(dphi) <= 1e-7 and elapsed < 1.0
     _report(
         "violation optimum",
         ok,
-        f"v {opt.violation_star:.6f} at r {opt.r_star:.6f}, phi {opt.phi_star:.8f}, {elapsed:.2f}s",
+        f"v {opt.violation_star:.6f} at r {opt.r_star:.6f}, phi {opt.phi_star:.8f}; "
+        f"dv {dv:.1e}, dr {dr:.1e}, dphi {dphi:.1e} from the closed form, {elapsed:.2f}s",
     )
 
 

@@ -1,14 +1,18 @@
 """Property test of the command line: no drawn flags end in a traceback.
 
-Every command exits 0 or 2, and exit 2 leaves stdout empty.  ``sweep`` and
-``optimize`` run for up to seconds per call, so they are not drawn.
-Hypothesis runs derandomized, so every run draws the same examples.
+Every command exits 0 or 2, and exit 2 leaves stdout empty.  ``sweep`` is
+drawn only over grids of at most 4 x 4 cells, and ``optimize``, whose every
+valid tolerance runs the default 200 x 200 scan, only with coarse or invalid
+tolerances and few examples.  Hypothesis runs derandomized, so every run
+draws the same examples.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
 
@@ -59,9 +63,43 @@ def commands(draw):
     return argv + [switch for switch in switches if draw(st.booleans())]
 
 
+@st.composite
+def sweeps(draw):
+    argv = ["sweep"] + [f"--{name}-steps={draw(st.integers(0, 4))}" for name in ("r", "phi")]
+    for bound in ("r-min", "r-max", "phi-min", "phi-max"):
+        if draw(st.booleans()):
+            argv.append(f"--{bound}={draw(reals)!r}")
+    return argv + ["--degrees"] * draw(st.booleans())
+
+
+# Valid tolerances lie in (0, 1e-2]; only the coarsest are drawn among them.
+refine_tols = st.one_of(
+    st.sampled_from([1e-3, 1e-2, math.nextafter(1e-2, 1.0), -0.0, math.nan, math.inf]),
+    st.floats(max_value=0.0),
+    st.floats(min_value=0.011),
+)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(commands())
 def test_drawn_flags_exit_0_or_2_without_traceback(argv):
+    check_exit_0_or_2(argv)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sweeps())
+def test_drawn_sweep_flags_exit_0_or_2_without_traceback(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_exit_0_or_2(argv + ["--out", os.path.join(tmp, "grid.csv")])
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(refine_tols)
+def test_drawn_refine_tol_exits_0_or_2_without_traceback(tol):
+    check_exit_0_or_2(["optimize", f"--refine-tol={tol!r}"])
+
+
+def check_exit_0_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

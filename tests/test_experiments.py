@@ -224,6 +224,13 @@ class TestPairBatch:
         for name, expected in zip(("phi", "annihilate", "u1", "u2"), columns):
             assert getattr(batch, name).tolist() == expected, name
 
+    @pytest.mark.parametrize("ratios", [[0.6, 0.8, 0.8], [0.6]], ids=["3-ratios", "1-ratio"])
+    def test_phase_settings_needs_one_ratio_per_phase(self, ratios):
+        r = np.array(ratios)
+        bs = BeamSplitterParams(t=np.sqrt(1.0 - r * r), r=r)
+        with pytest.raises(ValueError, match=f"got {len(ratios)} ratios for 2 phases"):
+            PairBatch.phase_settings(bs, [0.0, 1.0])
+
 
 class TestCoupling:
     def test_rejects_non_finite_phase(self):

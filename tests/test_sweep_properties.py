@@ -1,4 +1,4 @@
-"""Property tests of the streamed sweep: CSV rows, terms and the running argmax.
+"""Property tests of the streamed sweep: CSV rows, block writer, terms and the running argmax.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -6,6 +6,7 @@ Hypothesis runs derandomized, so every run draws the same examples.
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 from unittest import mock
@@ -19,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from mzpair import explore  # noqa: E402
 from mzpair.bell import behavior_from_phase_setup, bell_violation  # noqa: E402
-from mzpair.cli import CSV_HEADER, _format_real, main  # noqa: E402
+from mzpair.cli import CSV_HEADER, _format_real, _written, main  # noqa: E402
 from mzpair.explore import SweepGrid, first_max, sweep, violation_at  # noqa: E402
 from mzpair.state import BeamSplitterParams  # noqa: E402
 
@@ -91,3 +92,80 @@ def test_first_max_keeps_the_first_of_equal_maxima(rows):
         blocks.append((r, phis, v + 1.0, v - 1.0, v))
         cells += [(r, phi, x + 1.0, x - 1.0, float(x)) for phi, x in zip(phis, values)]
     assert first_max(blocks) == (len(cells), max(cells, key=lambda cell: cell[4], default=None))
+
+
+# Floats whose .12g text lacks a decimal marker, or nearly does: zeros, +-1,
+# integers up to 1e13 and values 1 ulp or a few 1e-12 relative from one,
+# 12-digit rounding boundaries, subnormals, and the extremes.
+ADVERSARIAL = [0.0, -0.0, 1.0, -1.0, 0.9999999999995, 0.99999999999995, 999999999999.5,
+               5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]  # fmt: skip
+integers = st.integers(-(10**13), 10**13)
+finite_reals = st.one_of(
+    st.sampled_from(ADVERSARIAL),
+    integers.map(float),
+    st.tuples(integers, st.sampled_from([-math.inf, math.inf])).map(
+        lambda pair: math.nextafter(float(pair[0]), pair[1])
+    ),
+    st.tuples(st.integers(-(10**12), 10**12), st.floats(-6e-12, 6e-12)).map(
+        lambda pair: pair[0] * (1.0 + pair[1])
+    ),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.floats(1e11, 1e13),
+    st.floats(-1e13, -1e11),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def csv_blocks(draw):
+    """Sweep-like blocks ``(r, phis, p_u1u2, p_c1c2, violation)``; the phase
+    lists repeat across blocks, as a sweep's rows do, or not."""
+    phis = st.lists(finite_reals, min_size=1, max_size=5)
+    phi_lists = draw(st.lists(phis, min_size=1, max_size=2))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        phis = draw(st.sampled_from(phi_lists))
+        n = 3 * len(phis)
+        terms = np.array(draw(st.lists(finite_reals, min_size=n, max_size=n))).reshape(3, -1)
+        blocks.append((draw(finite_reals), list(phis), *terms))
+    return blocks
+
+
+def csv_rows(blocks):
+    return [
+        ",".join(_format_real(x) for x in (r, *row)) + "\n"
+        for r, phis, p1, p4, v in blocks
+        for row in zip(phis, p1.tolist(), p4.tolist(), v.tolist())
+    ]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(csv_blocks())
+def test_block_writer_matches_format_real_row_by_row(blocks):
+    handle = io.StringIO()
+    assert [id(block) for block in _written(handle, blocks)] == list(map(id, blocks))
+    assert handle.getvalue() == "".join(csv_rows(blocks))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(csv_blocks(), st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_block_writer_stops_at_the_first_non_finite_value(blocks, data, bad):
+    *before, (r, phis, *terms) = blocks
+    row = data.draw(st.integers(0, len(phis) - 1))
+    column = data.draw(st.integers(0, 4))
+    if column == 0:
+        r, row = bad, 0
+    elif column == 1:
+        phis = phis[:row] + [bad] + phis[row + 1 :]
+    else:
+        terms[column - 2] = np.array(terms[column - 2])
+        terms[column - 2][row] = bad
+    last = (r, phis, *terms)
+    handle = io.StringIO()
+    with pytest.raises(ValueError) as raised:
+        list(_written(handle, [*before, last]))
+    with pytest.raises(ValueError) as expected:
+        _format_real(bad)
+    assert str(raised.value) == str(expected.value)
+    kept = csv_rows([*before, (r, phis[:row], *(term[:row] for term in terms))])
+    assert handle.getvalue() == "".join(kept)
