@@ -168,6 +168,28 @@ class TestSimulatedBehavior:
                 for letter, p in table.items():
                     assert abs(p - raw.get(letter, 0.0)) <= ATOL
 
+    def test_joint_sink_in_the_phase_setup_raises(self, monkeypatch):
+        real = PairBatch.phase_settings
+
+        def with_annihilation(bs, phis):
+            batch = real(bs, phis)
+            return dataclasses.replace(batch, annihilate=np.ones(batch.rows, dtype=bool))
+
+        monkeypatch.setattr(PairBatch, "phase_settings", staticmethod(with_annihilation))
+        with pytest.raises(RuntimeError, match="'gamma'"):
+            behavior_from_phase_setup(BeamSplitterParams.from_r(0.47), 2.2)
+
+    def test_outcome_outside_its_setting_raises(self, monkeypatch):
+        real = PairBatch.phase_settings
+
+        def u1_everywhere(bs, phis):
+            batch = real(bs, phis)
+            return dataclasses.replace(batch, u1=np.ones(batch.rows, dtype=bool))
+
+        monkeypatch.setattr(PairBatch, "phase_settings", staticmethod(u1_everywhere))
+        with pytest.raises(ValueError, match="impossible under setting"):
+            behavior_from_phase_setup(BeamSplitterParams.from_r(0.47), 2.2)
+
     def test_zero_phase_factorizes(self):
         behavior = behavior_from_phase_setup(BeamSplitterParams.from_r(0.44), 0.0)
         for setting in SETTINGS:
