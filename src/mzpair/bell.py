@@ -15,9 +15,10 @@ setting's outcomes.  On top of it live three views that must agree:
 {D} when it is absent.
 
 A behavior is stored as its 25 admissible cells in the canonical order
-``CELLS``.  This module alone knows that layout: :func:`behavior_cells` reads
-the cells straight from a batched readout, and :func:`inequality_terms` is
-the one definition of the inequality, for a single behavior or a whole scan.
+``CELLS``.  This module alone knows that layout: :func:`behavior_cells`
+gathers the cells from a batched readout's key columns, and
+:func:`inequality_terms` is the one definition of the inequality, for a
+single behavior or a whole scan.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .experiments import SETTINGS, PairBatch, run_pair
 from .simplex import solve_phase1
-from .state import LABELS, BeamSplitterParams, Readout
+from .state import OUTCOME_KEYS, BeamSplitterParams, Readout
 
 __all__ = [
     "SETTINGS",
@@ -92,12 +93,8 @@ _SHIFTS = np.array(
         for letter in side_outcomes(own)
     ]
 )
-# Where a PairBatch.phase_settings readout holds each cell: the setting's row
-# block, then the outcome's place in a row's table.
+# The row block of each cell's setting in a PairBatch.phase_settings readout.
 _CELL_SETTING = np.array([SETTINGS.index(setting) for setting in _SETTING_OF])
-_CELL_I, _CELL_J = np.array([Readout.index(outcome) for _, outcome in CELLS]).T
-_STRAY = np.ones((len(SETTINGS), len(LABELS), len(LABELS)), dtype=bool)
-_STRAY[_CELL_SETTING, _CELL_I, _CELL_J] = False
 # p(U1,U2), p(U1,!C2), p(!C1,U2), p(C1,C2); !C is {D} on a side whose detector is absent.
 _TERM_CELLS = [
     _CELL_INDEX[((True, True), ("U", "U"))],
@@ -107,10 +104,22 @@ _TERM_CELLS = [
 ]
 
 
+@functools.lru_cache(maxsize=64)
+def _plan(keys: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's column in a readout listing ``keys``, and per setting the columns it cannot hold.
+
+    A :meth:`PairBatch.phase_settings` readout lists the key of every cell.
+    """
+    cells = np.array([keys.index(OUTCOME_KEYS[outcome]) for _, outcome in CELLS])
+    stray = np.ones((len(SETTINGS), len(keys)), dtype=bool)
+    stray[_CELL_SETTING, cells] = False
+    return cells, stray
+
+
 def behavior_cells(readout: Readout) -> np.ndarray:
     """Canonical cells of a :meth:`PairBatch.phase_settings` readout, one column per phase."""
-    blocks = readout.table.reshape(len(SETTINGS), -1, len(LABELS), len(LABELS))
-    return blocks[_CELL_SETTING, :, _CELL_I, _CELL_J]
+    blocks = readout.probs.reshape(len(SETTINGS), -1, len(readout.keys))
+    return blocks[_CELL_SETTING, :, _plan(readout.keys)[0]]
 
 
 def inequality_terms(cells: np.ndarray) -> tuple:
@@ -186,12 +195,12 @@ class BehaviorTable:
 def behavior_from_phase_setup(bs: BeamSplitterParams, phi: float) -> BehaviorTable:
     """Measure the phase-coupled pair under all four detector placements."""
     readout = run_pair(PairBatch.phase_settings(bs, [phi]))
-    if readout.gamma.any():
+    if readout.prob("gamma").any():
         raise RuntimeError("joint sink 'gamma' cannot occur in the phase setup")
-    stray = np.where(_STRAY, readout.table, 0.0)
+    stray = np.where(_plan(readout.keys)[1], readout.probs, 0.0)
     if stray.max() > 1e-15:
-        k, i, j = np.unravel_index(stray.argmax(), stray.shape)
-        outcome = (LABELS[i], LABELS[j])
+        k, column = np.unravel_index(stray.argmax(), stray.shape)
+        outcome = readout.keys[column]
         raise ValueError(f"outcome {outcome!r} impossible under setting {SETTINGS[k]!r}")
     return BehaviorTable._checked(behavior_cells(readout)[:, 0])
 

@@ -7,7 +7,10 @@ particle 1's, or the ``gamma`` sink that a pair which annihilates jointly
 occupies.  ``amps[row, k]`` holds the complex amplitude of ``keys[k]``, and
 only the keys that can hold amplitude are listed: a phase-setup pipeline
 never needs more than 9.  Single-particle states keep particle 1 on the
-``NONE`` placeholder.  A single run is a batch of one.
+``NONE`` placeholder.  A single run is a batch of one.  :func:`measure`
+keeps the layout: a :class:`Readout` holds ``probs[row, k]``, the
+probability of ``keys[k]``.  This module alone maps outcome names to keys,
+in ``OUTCOME_KEYS``.
 
 Conventions are fixed once so downstream golden values stay reproducible:
 
@@ -55,6 +58,7 @@ __all__ = [
     "NONE",
     "GAMMA",
     "LABELS",
+    "OUTCOME_KEYS",
     "PRUNE_THRESHOLD",
     "NORM_TOL",
     "PipelineError",
@@ -85,7 +89,6 @@ GAMMA = "gamma"  # joint sink: both particles annihilated
 SINKS = (ABSORBED, EXPLODED)
 
 LABELS = (S, U, V, C, D, ABSORBED, EXPLODED, NONE)
-_INDEX = {label: i for i, label in enumerate(LABELS)}
 
 PRUNE_THRESHOLD = 1e-15
 
@@ -256,60 +259,44 @@ class OutcomeDistribution:
 
 
 _LETTER = {C: "C", D: "D", ABSORBED: "U", EXPLODED: "exploded"}
-_LABEL_OF = {letter: label for label, letter in _LETTER.items()}
-# (label indices, outcome) in the order a readout row lists its outcomes, and
-# so the order in which marginals add them up: sinks first, then ports, as a
-# pipeline with in-arm detectors on the u arms first produces them.
 _TERMINAL = (ABSORBED, EXPLODED, C, D)
+# (key, outcome) in the order a readout row lists its outcomes, and so the
+# order in which marginals add them up: sinks first, then ports, as a
+# pipeline with in-arm detectors on the u arms first produces them, and the
+# joint sink last.
 _ROW_OUTCOMES = tuple(
-    (
-        _INDEX[first],
-        _INDEX[second],
-        _LETTER[first] if second == NONE else (_LETTER[first], _LETTER[second]),
-    )
+    ((first, second), _LETTER[first] if second == NONE else (_LETTER[first], _LETTER[second]))
     for first in _TERMINAL
     for second in _TERMINAL + (NONE,)
-)
+) + ((GAMMA, GAMMA),)
+# The key that holds each outcome named as in OutcomeDistribution.
+OUTCOME_KEYS = {outcome: key for key, outcome in _ROW_OUTCOMES}
 
 
 @dataclass(frozen=True, eq=False)
 class Readout:
-    """Born-rule probabilities of a batch of terminal states.
+    """Born-rule probabilities of a batch of terminal states, as key columns.
 
-    ``table[row, i, j]`` is the probability of the label pair
-    ``(LABELS[i], LABELS[j])`` and ``gamma[row]`` that of the joint sink.
+    ``probs[row, k]`` is the probability of ``keys[k]``, ``GAMMA`` included,
+    and every key not listed has probability 0, as in :class:`JointState`.
     """
 
-    table: np.ndarray
-    gamma: np.ndarray
-
-    @staticmethod
-    def index(outcome: Outcome) -> tuple[int, int]:
-        """Indices ``(i, j)`` of an outcome other than ``"gamma"`` in ``table[row]``."""
-        if isinstance(outcome, tuple):
-            first, second = _LABEL_OF[outcome[0]], _LABEL_OF[outcome[1]]
-        else:
-            first, second = _LABEL_OF[outcome], NONE
-        return _INDEX[first], _INDEX[second]
+    probs: np.ndarray
+    keys: tuple[Key, ...]
 
     def prob(self, outcome: Outcome) -> np.ndarray:
         """Per-row probability of an outcome, named as in :class:`OutcomeDistribution`."""
-        if outcome == "gamma":
-            return self.gamma
-        i, j = self.index(outcome)
-        return self.table[:, i, j]
+        key = OUTCOME_KEYS[outcome]
+        if key in self.keys:
+            return self.probs[:, self.keys.index(key)]
+        return np.zeros(len(self.probs))
 
     def row(self, index: int) -> OutcomeDistribution:
         """One row's outcomes with nonzero probability, as an outcome table."""
-        table = self.table[index].tolist()
-        probs: dict[Outcome, float] = {}
-        for i, j, outcome in _ROW_OUTCOMES:
-            if table[i][j]:
-                probs[outcome] = table[i][j]
-        gamma = float(self.gamma[index])
-        if gamma:
-            probs["gamma"] = gamma
-        return OutcomeDistribution(probs)
+        values = dict(zip(self.keys, self.probs[index].tolist()))
+        return OutcomeDistribution(
+            {outcome: values[key] for key, outcome in _ROW_OUTCOMES if values.get(key)}
+        )
 
 
 _ZERO = np.zeros((), dtype=complex)  # np.where fills from it without a conversion
@@ -577,16 +564,6 @@ def apply_absorber(
     return _settle(state, route, np.where(acting, on_arm, _ZERO), np.where(acting, _ZERO, on_arm))
 
 
-@functools.lru_cache(maxsize=256)
-def _cells(keys: tuple[Key, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
-    """The label-pair columns of ``keys``, their ``(i, j)`` table cells, the ``GAMMA`` column."""
-    pairs = [k for k, key in enumerate(keys) if key != GAMMA]
-    i = [_INDEX[keys[k][0]] for k in pairs]
-    j = [_INDEX[keys[k][1]] for k in pairs]
-    gamma = keys.index(GAMMA) if GAMMA in keys else None
-    return (*(np.array(a, dtype=np.intp) for a in (pairs, i, j)), gamma)
-
-
 def measure(state: JointState) -> Readout:
     """Born-rule readout of a batch of fully terminal states.
 
@@ -605,11 +582,4 @@ def measure(state: JointState) -> Readout:
             f"probabilities sum to {float(total[row])!r} in row {row}, "
             f"expected 1 within {NORM_TOL}"
         )
-    pairs, i, j, g = _cells(state.keys)
-    if g is None:
-        cells, gamma = probs, np.zeros(len(probs))
-    else:
-        cells, gamma = probs.take(pairs, 1), probs[:, g]
-    table = np.zeros((len(probs), len(LABELS), len(LABELS)))
-    table[:, i, j] = cells
-    return Readout(table, gamma)
+    return Readout(probs, state.keys)

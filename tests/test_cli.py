@@ -428,7 +428,7 @@ class TestSweep:
         def leaky_run_pair(batch):
             readout = real_run_pair(batch)
             if batch.bs.r > 0.35:  # from the second r row on
-                readout.prob(("U", "D"))[...] += 1e-9  # a view into the table
+                readout.prob(("U", "D"))[...] += 1e-9  # a view into the readout
             return readout
 
         monkeypatch.setattr(explore, "run_pair", leaky_run_pair)

@@ -157,6 +157,29 @@ class TestPhasePair:
         assert abs(loud.prob(("U", "U")) - 0.0857) <= 5e-4
 
 
+class TestReadoutRows:
+    # A row lists sinks before ports on each side and the joint sink last;
+    # OutcomeDistribution.marginal adds the outcomes in this order.
+    def test_annihilation_with_both_detectors(self):
+        bs = BeamSplitterParams.from_r(0.37)
+        dist = run_pair(PairBatch.of(bs, annihilate=True, u1=True, u2=True)).row(0)
+        assert list(dist.probabilities) == [
+            ("U", "C"), ("U", "D"),
+            ("C", "U"), ("C", "C"), ("C", "D"),
+            ("D", "U"), ("D", "C"), ("D", "D"),
+            "gamma",
+        ]  # fmt: skip
+
+    def test_phase_with_the_first_detector(self):
+        bs = BeamSplitterParams.from_r(0.37)
+        dist = run_pair(PairBatch.of(bs, phi=1.0, u1=True)).row(0)
+        assert list(dist.probabilities) == [
+            ("U", "C"),
+            ("C", "C"), ("C", "D"),
+            ("D", "C"), ("D", "D"),
+        ]  # fmt: skip
+
+
 class TestDarkPortCoefficient:
     def test_matches_simulated_joint_bright_amplitude(self):
         rng = random.Random(18)

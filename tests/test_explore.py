@@ -153,7 +153,7 @@ class TestMiddleTermCheck:
 
         def leaky_run_pair(batch):
             readout = real_run_pair(batch)
-            readout.prob(("U", "D"))[...] += 1e-9  # a view into the table
+            readout.prob(("U", "D"))[...] += 1e-9  # a view into the readout
             return readout
 
         monkeypatch.setattr(explore, "run_pair", leaky_run_pair)

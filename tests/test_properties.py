@@ -15,7 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from mzpair.bell import behavior_from_phase_setup  # noqa: E402
 from mzpair.experiments import SETTINGS, PairBatch, run_pair, run_pair_state  # noqa: E402
-from mzpair.state import NORM_TOL, BeamSplitterParams  # noqa: E402
+from mzpair.state import NORM_TOL, OUTCOME_KEYS, BeamSplitterParams  # noqa: E402
 
 ATOL = 1e-12
 
@@ -52,7 +52,7 @@ def test_norm_is_conserved_over_mixed_batches(batch):
     state = run_pair_state(batch)
     assert np.max(np.abs(state.norm_squared() - 1.0)) <= NORM_TOL
     readout = run_pair(batch)
-    totals = readout.table.sum(axis=(1, 2)) + readout.gamma
+    totals = readout.probs.sum(axis=1)
     assert np.max(np.abs(totals - 1.0)) <= NORM_TOL
 
 
@@ -62,8 +62,8 @@ def test_phase_is_periodic_in_two_pi(r, phi):
     bs = BeamSplitterParams.from_r(r)
     base = run_pair(PairBatch.phase_settings(bs, [phi]))
     turned = run_pair(PairBatch.phase_settings(bs, [phi + 2.0 * math.pi]))
-    assert np.max(np.abs(turned.table - base.table)) <= ATOL
-    assert np.max(np.abs(turned.gamma - base.gamma)) <= ATOL
+    for outcome in OUTCOME_KEYS:
+        assert np.max(np.abs(turned.prob(outcome) - base.prob(outcome))) <= ATOL, outcome
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -71,8 +71,10 @@ def test_phase_is_periodic_in_two_pi(r, phi):
 def test_swapping_the_particles_transposes_the_table(batch):
     readout = run_pair(batch)
     mirrored = run_pair(swapped(batch))
-    assert np.max(np.abs(mirrored.table - readout.table.transpose(0, 2, 1))) <= ATOL
-    assert np.max(np.abs(mirrored.gamma - readout.gamma)) <= ATOL
+    pairs = [outcome for outcome in OUTCOME_KEYS if isinstance(outcome, tuple)]
+    for a, b in pairs:
+        assert np.max(np.abs(mirrored.prob((b, a)) - readout.prob((a, b)))) <= ATOL, (a, b)
+    assert np.max(np.abs(mirrored.prob("gamma") - readout.prob("gamma"))) <= ATOL
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -3,10 +3,12 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mzpair.experiments import PairBatch, run_pair_state
 from mzpair.state import (
     ABSORBED,
     C,
@@ -289,6 +291,31 @@ class TestMeasure:
         dist = measure(state)
         assert abs(dist.prob("C") - 0.5) <= ATOL
         assert abs(dist.prob("exploded") - 0.5) <= ATOL
+
+    def test_unlisted_outcome_reads_zero(self):
+        readout = measure(JointState.of({(C, C): 1.0}))
+        assert readout.keys == ((C, C),)
+        assert readout.prob(("D", "D")).tolist() == [0.0]
+        assert readout.prob("gamma").tolist() == [0.0]
+
+    def test_peak_memory_stays_below_a_dense_table(self):
+        # An 800-row scan batch (200 phases under 4 settings) lists 9 keys.
+        # measure squares the 18 real components (800 * 18 * 8 = 115,200 B)
+        # and keeps one probability per key (57,600 B), about 190 kB with
+        # the row sums and their drift.  The bound is what a dense
+        # (rows, 8, 8) float table over every label pair would take on its
+        # own, 800 * 64 * 8 B, so a readout that builds one cannot pass.
+        bs = BeamSplitterParams.from_r(0.5)
+        state = run_pair_state(PairBatch.phase_settings(bs, np.linspace(0.0, math.pi, 200)))
+        assert state.amps.shape == (800, 9)
+        measure(state)  # fill the plan caches first
+        tracemalloc.start()
+        try:
+            measure(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 800 * 8 * 8 * 8
 
     @pytest.mark.parametrize("label", [S, U, V])
     def test_rejects_internal_amplitude(self, label):
