@@ -1,6 +1,7 @@
 """Unit tests for the key-column amplitude engine."""
 
 import cmath
+import hashlib
 import math
 import random
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from mzpair.experiments import PairBatch, run_pair_state
 from mzpair.state import (
     ABSORBED,
+    OUTCOME_KEYS,
     C,
     D,
     EXPLODED,
@@ -385,3 +387,38 @@ class TestKeyColumns:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown keys"):
             JointState.of({(U, "x"): 1.0})
+
+
+def mixed_batches(seed):
+    """A shared-ratio and a per-row-ratio batch of 150 rows each, mixing zero and
+    nonzero phases, annihilation and both in-arm detectors row by row."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    for bs in (BeamSplitterParams.from_r(0.58309), None):
+        if bs is None:
+            r = rng.uniform(0.02, 0.98, 150)
+            bs = BeamSplitterParams(t=np.sqrt(1.0 - r * r), r=r)
+        phi = np.where(rng.random(150) < 0.3, 0.0, rng.uniform(-7.0, 7.0, 150))
+        annihilate, u1, u2 = rng.random((3, 150)) < 0.4
+        batches.append(PairBatch.of(bs, phi=phi, annihilate=annihilate, u1=u1, u2=u2))
+    return batches
+
+
+# Digests of the engine's bits on mixed_batches(2024), recorded on the
+# (rows, keys) engine: a change of layout or of loop must leave every byte.
+MIXED_PROBS_SHA256 = "acc9e8a18968aeb605513f0964afa66b85191f71b2c02147f77fd684d227c096"
+MIXED_AMPS_SHA256 = "85cbabd0ac5a83f3036ef703038b0545f588f23d37cbaf05f2a6915c40d8e25a"
+
+
+def test_mixed_batches_keep_their_bits():
+    probs, amps = hashlib.sha256(), hashlib.sha256()
+    for batch in mixed_batches(2024):
+        state = run_pair_state(batch)
+        readout = measure(state)
+        for outcome in sorted(OUTCOME_KEYS, key=str):
+            probs.update(readout.prob(outcome).tobytes())
+        for key in sorted(state.keys, key=str):
+            amps.update(repr(key).encode())
+            amps.update(state.amplitude(key).tobytes())
+    assert probs.hexdigest() == MIXED_PROBS_SHA256
+    assert amps.hexdigest() == MIXED_AMPS_SHA256
