@@ -106,20 +106,20 @@ _TERM_CELLS = [
 
 @functools.lru_cache(maxsize=64)
 def _plan(keys: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's column in a readout listing ``keys``, and per setting the columns it cannot hold.
+    """Each cell's key in a readout listing ``keys``, and per key the settings that cannot hold it.
 
     A :meth:`PairBatch.phase_settings` readout lists the key of every cell.
     """
     cells = np.array([keys.index(OUTCOME_KEYS[outcome]) for _, outcome in CELLS])
-    stray = np.ones((len(SETTINGS), len(keys)), dtype=bool)
-    stray[_CELL_SETTING, cells] = False
+    stray = np.ones((len(keys), len(SETTINGS)), dtype=bool)
+    stray[cells, _CELL_SETTING] = False
     return cells, stray
 
 
 def behavior_cells(readout: Readout) -> np.ndarray:
     """Canonical cells of a :meth:`PairBatch.phase_settings` readout, one column per phase."""
-    blocks = readout.probs.reshape(len(SETTINGS), -1, len(readout.keys))
-    return blocks[_CELL_SETTING, :, _plan(readout.keys)[0]]
+    blocks = readout.probs.reshape(len(readout.keys), len(SETTINGS), -1)
+    return blocks[_plan(readout.keys)[0], _CELL_SETTING]
 
 
 def inequality_terms(cells: np.ndarray) -> tuple:
@@ -199,7 +199,7 @@ def behavior_from_phase_setup(bs: BeamSplitterParams, phi: float) -> BehaviorTab
         raise RuntimeError("joint sink 'gamma' cannot occur in the phase setup")
     stray = np.where(_plan(readout.keys)[1], readout.probs, 0.0)
     if stray.max() > 1e-15:
-        k, column = np.unravel_index(stray.argmax(), stray.shape)
+        column, k = np.unravel_index(stray.argmax(), stray.shape)
         outcome = readout.keys[column]
         raise ValueError(f"outcome {outcome!r} impossible under setting {SETTINGS[k]!r}")
     return BehaviorTable._checked(behavior_cells(readout)[:, 0])

@@ -43,9 +43,10 @@ R_CLAMP_HI = 1.0 - 1e-3
 MIDDLE_TERM_TOL = 1e-12
 
 # Phases per engine batch, so one default-grid r row (4 x 200 states) is one
-# batch.  Default find_max_violation, medians of 3 on 2 CPUs: 0.40 s at 50
-# phases, 0.30 s at 100, 0.24 s at 200; sweep peak RSS rose 0.3 MB from 50 to
-# 200.  It still caps memory when a grid has many more phases per row.
+# batch.  Default find_max_violation, medians of 7 on 2 CPUs: 0.128 s at 50
+# phases, 0.083 s at 100, 0.061 s at 200, 0.059 s at 400; sweep peak RSS read
+# 30.2 MB at 50 and 30.3 MB at 200 and 400.  It still caps memory when a grid
+# has many more phases per row.
 SCAN_BLOCK = 200
 
 # Zoom grid values per refined axis, and the box's shrink per round: the new

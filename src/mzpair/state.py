@@ -4,13 +4,13 @@ A state is a batch of key columns.  Each particle sits on one per-particle
 label (source ``s``, internal arms ``u``/``v``, detector ports ``c``/``d``,
 or an absorbing sink); a key is a label pair, particle 0's label then
 particle 1's, or the ``gamma`` sink that a pair which annihilates jointly
-occupies.  ``amps[row, k]`` holds the complex amplitude of ``keys[k]``, and
-only the keys that can hold amplitude are listed: a phase-setup pipeline
-never needs more than 9.  Single-particle states keep particle 1 on the
-``NONE`` placeholder.  A single run is a batch of one.  :func:`measure`
-keeps the layout: a :class:`Readout` holds ``probs[row, k]``, the
-probability of ``keys[k]``.  This module alone maps outcome names to keys,
-in ``OUTCOME_KEYS``.
+occupies.  ``amps[k, row]`` holds the complex amplitude of ``keys[k]``, so
+each key's rows are one contiguous run of memory, and only the keys that can
+hold amplitude are listed: a phase-setup pipeline never needs more than 9.
+Single-particle states keep particle 1 on the ``NONE`` placeholder.  A
+single run is a batch of one.  :func:`measure` keeps the layout: a
+:class:`Readout` holds ``probs[k, row]``, the probability of ``keys[k]``.
+This module alone maps outcome names to keys, in ``OUTCOME_KEYS``.
 
 Conventions are fixed once so downstream golden values stay reproducible:
 
@@ -152,8 +152,8 @@ class BeamSplitterParams:
         """The splitter maps as the engine applies them to two-label slots.
 
         ``(i r, t)`` takes ``s`` to ``(u, v)``; ``(r, i t)`` and ``(i t, r)``
-        take ``u`` and ``v`` to ``(c, d)``.  Each has shape (2, 1), or
-        (rows, 2, 1) for per-row parameters.
+        take ``u`` and ``v`` to ``(c, d)``.  Each has shape (2, 1, 1), or
+        (2, 1, rows) for per-row parameters.
         """
         it = 1j * self.t
         return _pair(1j * self.r, self.t), _pair(self.r, it), _pair(it, self.r)
@@ -163,10 +163,10 @@ class BeamSplitterParams:
 class JointState:
     """A batch of joint states as key columns.
 
-    ``amps`` has shape ``(rows, len(keys))``, complex; column ``k`` holds the
+    ``amps`` has shape ``(len(keys), rows)``, complex; ``amps[k, row]`` is the
     amplitude of ``keys[k]``, a label pair or ``GAMMA``, and every other key
     has amplitude 0.  Operations derive the keys from the keys they move, so
-    a column can be 0 in every row where pruning or a row mask emptied it.
+    a key can read 0 in every row where pruning or a row mask emptied it.
     Treat both as read-only; operations always build a fresh state.
     """
 
@@ -179,8 +179,8 @@ class JointState:
         unknown = kept.keys() - _ALL_KEYS
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown, key=str)!r}")
-        amps = np.empty((rows, len(kept)), dtype=complex)
-        amps[:] = list(kept.values())
+        amps = np.empty((len(kept), rows), dtype=complex)
+        amps[:] = np.array(list(kept.values()), dtype=complex)[:, None]
         return cls(amps, tuple(kept))
 
     @classmethod
@@ -200,7 +200,7 @@ class JointState:
 
     @property
     def rows(self) -> int:
-        return len(self.amps)
+        return self.amps.shape[1]
 
     @property
     def gamma(self) -> np.ndarray:
@@ -210,12 +210,12 @@ class JointState:
     def amplitude(self, key: Key) -> np.ndarray:
         """Per-row amplitudes of a joint label pair, or of ``GAMMA``."""
         if key in self.keys:
-            return self.amps[:, self.keys.index(key)]
+            return self.amps[self.keys.index(key)]
         return np.zeros(self.rows, dtype=complex)
 
     def norm_squared(self) -> np.ndarray:
         a = self.amps
-        return (a.real * a.real + a.imag * a.imag).sum(axis=1)
+        return (a.real * a.real + a.imag * a.imag).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -277,8 +277,9 @@ OUTCOME_KEYS = {outcome: key for key, outcome in _ROW_OUTCOMES}
 class Readout:
     """Born-rule probabilities of a batch of terminal states, as key columns.
 
-    ``probs[row, k]`` is the probability of ``keys[k]``, ``GAMMA`` included,
-    and every key not listed has probability 0, as in :class:`JointState`.
+    ``probs`` has shape ``(len(keys), rows)``: ``probs[k, row]`` is the
+    probability of ``keys[k]``, ``GAMMA`` included, and every key not listed
+    has probability 0, as in :class:`JointState`.
     """
 
     probs: np.ndarray
@@ -288,12 +289,12 @@ class Readout:
         """Per-row probability of an outcome, named as in :class:`OutcomeDistribution`."""
         key = OUTCOME_KEYS[outcome]
         if key in self.keys:
-            return self.probs[:, self.keys.index(key)]
-        return np.zeros(len(self.probs))
+            return self.probs[self.keys.index(key)]
+        return np.zeros(self.probs.shape[1])
 
     def row(self, index: int) -> OutcomeDistribution:
         """One row's outcomes with nonzero probability, as an outcome table."""
-        values = dict(zip(self.keys, self.probs[index].tolist()))
+        values = dict(zip(self.keys, self.probs[:, index].tolist()))
         return OutcomeDistribution(
             {outcome: values[key] for key, outcome in _ROW_OUTCOMES if values.get(key)}
         )
@@ -347,10 +348,18 @@ def _require(
     ``message`` may name ``{particle}``; it is formatted only on failure.
     """
     for column, key in strays:
-        rows = np.flatnonzero(state.amps[:, column])
+        rows = np.flatnonzero(state.amps[column])
         if len(rows):
             where = message.format(particle=particle)
             raise PipelineError(f"{where}, found key {key!r} in row {rows[0]}")
+
+
+def _mask(state: JointState, rows) -> np.ndarray:
+    """``rows`` as a boolean mask, which must have one entry per row of ``state``."""
+    acting = np.asarray(rows, dtype=bool)
+    if acting.shape != (state.rows,):
+        raise ValueError(f"need one mask entry per row, got {acting.size} for {state.rows} rows")
+    return acting
 
 
 def _check_particle(particle: int) -> None:
@@ -424,17 +433,18 @@ def _route(
 def _spread(amps: np.ndarray, route: _Route, coefficients) -> np.ndarray:
     """Each source column times its coefficients, summed over sources in order.
 
-    The result has shape ``(rows, targets, partners)``; a partner that lacks a
-    source gets no term from it.
+    ``amps`` is ``(keys, rows)`` and the result ``(targets, partners, rows)``,
+    so every product runs over a key's contiguous rows; a partner that lacks
+    a source gets no term from it.
     """
-    first = amps.take(route.columns[0], 1)[:, None] * coefficients[0]
+    first = amps.take(route.columns[0], 0) * coefficients[0]
     if len(coefficients) == 1:
         return first
-    second = amps.take(route.columns[1], 1)[:, None] * coefficients[1]
+    second = amps.take(route.columns[1], 0) * coefficients[1]
     if route.whole:
         return first + second
     n = route.shared
-    return np.concatenate((first[..., :n] + second[..., :n], first[..., n:], second[..., n:]), 2)
+    return np.concatenate((first[:, :n] + second[:, :n], first[:, n:], second[:, n:]), 1)
 
 
 def _settle(state: JointState, route: _Route, moved: np.ndarray, *kept: np.ndarray) -> JointState:
@@ -442,17 +452,17 @@ def _settle(state: JointState, route: _Route, moved: np.ndarray, *kept: np.ndarr
 
     Amplitude a target key already held is added after the amplitude moved there.
     """
-    moved = moved.reshape(len(moved), -1)
+    moved = moved.reshape(-1, state.rows)
     if route.merged is not None:
         at, columns = route.merged
-        moved[:, at] += state.amps.take(columns, 1)
-    amps = np.concatenate((state.amps.take(route.carried, 1), *kept, _prune(moved)), axis=1)
+        moved[at] += state.amps.take(columns, 0)
+    amps = np.concatenate((state.amps.take(route.carried, 0), *kept, _prune(moved)))
     return JointState(amps, route.keys)
 
 
 def _pair(first, second) -> np.ndarray:
-    """Coefficients for a two-label slot: shape (2, 1), or (rows, 2, 1) when per row."""
-    return np.array([first, second], dtype=complex).T[..., None]
+    """Coefficients for a two-label slot: shape (2, 1, 1), or (2, 1, rows) when per row."""
+    return np.array([first, second], dtype=complex).reshape(2, 1, -1)
 
 
 def apply_bs1(state: JointState, particle: int, params: BeamSplitterParams) -> JointState:
@@ -501,13 +511,13 @@ def apply_phase_coupling(state: JointState, phi: float | np.ndarray) -> JointSta
     # numpy's complex exp evaluates libm's exp, cos and sin, as cmath.exp does.
     factor = np.exp(1j * phi)
     k = state.keys.index((V, V))
-    vv = state.amps[:, k]
+    vv = state.amps[k]
     amps = state.amps.copy()
     # vv * factor in two products by a purely real and a purely imaginary
     # number, each exact to one rounding per component, so the sum has the
     # bits of the textbook complex product; numpy's own complex product may
     # fuse a multiply-add and change the last bit.
-    amps[:, k] = _prune(vv * factor.real + vv * (1j * factor.imag))
+    amps[k] = _prune(vv * factor.real + vv * (1j * factor.imag))
     return JointState(amps, state.keys)
 
 
@@ -516,22 +526,23 @@ def apply_annihilation_coupling(
 ) -> JointState:
     """Move the joint ``(u, u)`` amplitude into the ``gamma`` sink.
 
-    ``rows`` is a boolean mask of the rows the coupling acts on; all by default.
+    ``rows`` is a boolean mask, one entry per row, of the rows the coupling
+    acts on; all by default.
     """
     message = "annihilation coupling requires both particles on the internal arms"
     _require(state, _strays(state.keys, _INTERNAL_PAIR), message)
+    acting = np.ones(state.rows, dtype=bool) if rows is None else _mask(state, rows)
     if (U, U) not in state.keys:
         return JointState(state.amps, state.keys)
-    acting = np.ones(state.rows, dtype=bool) if rows is None else np.asarray(rows, dtype=bool)
     uu = state.amplitude((U, U))
     gamma = _prune(state.gamma + np.where(acting, uu, _ZERO))
     carried = [k for k, key in enumerate(state.keys) if key not in ((U, U), GAMMA)]
-    columns = [state.amps.take(carried, 1)]
+    columns = [state.amps.take(carried, 0)]
     keys = tuple(state.keys[k] for k in carried)
     if rows is not None:
-        columns.append(np.where(acting, _ZERO, uu)[:, None])
+        columns.append(np.where(acting, _ZERO, uu)[None])
         keys += ((U, U),)
-    amps = np.concatenate((*columns, gamma[:, None]), axis=1)
+    amps = np.concatenate((*columns, gamma[None]))
     return JointState(amps, keys + (GAMMA,))
 
 
@@ -546,21 +557,21 @@ def apply_absorber(
 
     The partner particle's label is untouched, so which-path information is
     kept in the joint label pair.  The addressed particle must be on the
-    internal arms or already in a sink.  ``rows`` is a boolean mask of the
-    rows that carry the absorber; all by default.
+    internal arms or already in a sink.  ``rows`` is a boolean mask, one
+    entry per row, of the rows that carry the absorber; all by default.
     """
     _check_particle(particle)
     if arm not in (U, V):
         raise ValueError(f"absorber arm must be {U!r} or {V!r}, got {arm!r}")
     if sink not in SINKS:
         raise ValueError(f"absorber sink must be one of {SINKS}, got {sink!r}")
+    acting = None if rows is None else _mask(state, rows)
     route = _route(state.keys, particle, (arm,), (sink,), _ABSORBER_INPUT[particle], rows is None)
     message = "absorber expects particle {particle} between the splitters"
     _require(state, route.strays, message, particle)
-    on_arm = state.amps.take(route.columns[0], 1)
-    if rows is None:
+    on_arm = state.amps.take(route.columns[0], 0)
+    if acting is None:
         return _settle(state, route, on_arm)
-    acting = np.asarray(rows, dtype=bool)[:, None]
     return _settle(state, route, np.where(acting, on_arm, _ZERO), np.where(acting, _ZERO, on_arm))
 
 
@@ -574,7 +585,7 @@ def measure(state: JointState) -> Readout:
     _require(state, _strays(state.keys, _TERMINAL_INPUT), message)
     squares = np.ascontiguousarray(state.amps).view(np.float64) ** 2
     probs = squares[:, 0::2] + squares[:, 1::2]  # re*re + im*im
-    total = probs.sum(axis=1)
+    total = probs.sum(axis=0)
     drift = np.abs(total - 1.0)
     if drift.max(initial=0.0) > NORM_TOL:
         row = int(drift.argmax())

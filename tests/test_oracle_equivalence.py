@@ -62,8 +62,8 @@ def max_amplitude_diff(plan, state, dense, row=0):
 def key_probability(readout, key):
     """Per-row probability of a key; a key the readout does not list reads as 0."""
     if key in readout.keys:
-        return readout.probs[:, readout.keys.index(key)]
-    return np.zeros(len(readout.probs))
+        return readout.probs[readout.keys.index(key)]
+    return np.zeros(readout.probs.shape[1])
 
 
 def max_probability_diff(readout, dense, row=0):

@@ -52,7 +52,7 @@ def test_norm_is_conserved_over_mixed_batches(batch):
     state = run_pair_state(batch)
     assert np.max(np.abs(state.norm_squared() - 1.0)) <= NORM_TOL
     readout = run_pair(batch)
-    totals = readout.probs.sum(axis=1)
+    totals = readout.probs.sum(axis=0)
     assert np.max(np.abs(totals - 1.0)) <= NORM_TOL
 
 

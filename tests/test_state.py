@@ -235,6 +235,14 @@ class TestAnnihilationCoupling:
         with pytest.raises(PipelineError, match="internal arms"):
             apply_annihilation_coupling(JointState.pair())
 
+    @pytest.mark.parametrize("mask", [[True], [True, False]])
+    def test_rejects_a_mask_of_the_wrong_length(self, mask):
+        params = BeamSplitterParams.from_r(0.3)
+        state = apply_bs1(apply_bs1(JointState.pair(3), 0, params), 1, params)
+        message = f"need one mask entry per row, got {len(mask)} for 3 rows"
+        with pytest.raises(ValueError, match=message):
+            apply_annihilation_coupling(state, np.array(mask))
+
 
 class TestAbsorber:
     def test_bomb_in_u_arm(self):
@@ -254,6 +262,13 @@ class TestAbsorber:
         out = apply_absorber(state, 0, U)
         assert out.keys == state.keys
         assert np.array_equal(out.amps, state.amps)
+
+    @pytest.mark.parametrize("mask", [[True], [True, False]])
+    def test_rejects_a_mask_of_the_wrong_length(self, mask):
+        state = apply_bs1(JointState.single(3), 0, BeamSplitterParams.from_r(0.3))
+        message = f"need one mask entry per row, got {len(mask)} for 3 rows"
+        with pytest.raises(ValueError, match=message):
+            apply_absorber(state, 0, U, rows=np.array(mask))
 
     def test_gamma_passes_through(self):
         state = JointState.of({GAMMA: 0.6, (V, V): 0.8})
@@ -309,7 +324,7 @@ class TestMeasure:
         # own, 800 * 64 * 8 B, so a readout that builds one cannot pass.
         bs = BeamSplitterParams.from_r(0.5)
         state = run_pair_state(PairBatch.phase_settings(bs, np.linspace(0.0, math.pi, 200)))
-        assert state.amps.shape == (800, 9)
+        assert state.amps.shape == (9, 800)
         measure(state)  # fill the plan caches first
         tracemalloc.start()
         try:
@@ -318,6 +333,23 @@ class TestMeasure:
         finally:
             tracemalloc.stop()
         assert peak < 800 * 8 * 8 * 8
+
+    def test_keys_are_contiguous_rows(self):
+        # Each key's amplitudes and probabilities are one run of memory, so
+        # the engine's products, sums and gathers stream over whole rows.
+        bs = BeamSplitterParams.from_r(0.5)
+        state = run_pair_state(PairBatch.phase_settings(bs, np.linspace(0.0, math.pi, 200)))
+        assert state.amps.shape == (9, 800)
+        for key in state.keys:
+            column = state.amplitude(key)
+            assert column.flags.c_contiguous and np.shares_memory(column, state.amps), key
+        readout = measure(state)
+        assert readout.probs.shape == (9, 800)
+        listed = [outcome for outcome, key in OUTCOME_KEYS.items() if key in readout.keys]
+        assert len(listed) == 9
+        for outcome in listed:
+            column = readout.prob(outcome)
+            assert column.flags.c_contiguous and np.shares_memory(column, readout.probs), outcome
 
     @pytest.mark.parametrize("label", [S, U, V])
     def test_rejects_internal_amplitude(self, label):
