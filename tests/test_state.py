@@ -437,7 +437,7 @@ def mixed_batches(seed):
 
 
 # Digests of the engine's bits on mixed_batches(2024), recorded on the
-# (rows, keys) engine: a change of layout or of loop must leave every byte.
+# row-major (rows, keys) engine: a change of layout or loop keeps every byte.
 MIXED_PROBS_SHA256 = "acc9e8a18968aeb605513f0964afa66b85191f71b2c02147f77fd684d227c096"
 MIXED_AMPS_SHA256 = "85cbabd0ac5a83f3036ef703038b0545f588f23d37cbaf05f2a6915c40d8e25a"
 
