@@ -566,7 +566,7 @@ def apply_absorber(
     if sink not in SINKS:
         raise ValueError(f"absorber sink must be one of {SINKS}, got {sink!r}")
     acting = None if rows is None else _mask(state, rows)
-    route = _route(state.keys, particle, (arm,), (sink,), _ABSORBER_INPUT[particle], rows is None)
+    route = _route(state.keys, particle, (arm,), (sink,), _ABSORBER_INPUT[particle], acting is None)
     message = "absorber expects particle {particle} between the splitters"
     _require(state, route.strays, message, particle)
     on_arm = state.amps.take(route.columns[0], 0)
