@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mzpair.experiments import PairBatch, run_pair_state
+from mzpair.experiments import PairBatch, run_pair, run_pair_state
+from mzpair.explore import R_CLAMP_LO
 from mzpair.state import (
     ABSORBED,
     OUTCOME_KEYS,
@@ -454,3 +455,46 @@ def test_mixed_batches_keep_their_bits():
             amps.update(state.amplitude(key).tobytes())
     assert probs.hexdigest() == MIXED_PROBS_SHA256
     assert amps.hexdigest() == MIXED_AMPS_SHA256
+
+
+def phase_settings_batches(seed):
+    """A shared-ratio and a per-phase-ratio ``phase_settings`` batch of 60 phases.
+
+    Both hold zero phases; the per-phase ratios reach the refinement clamp
+    ``R_CLAMP_LO`` and ``r = 1e-9``, where the first splitters prune the
+    ``(u, u)`` amplitude ``-1e-18``.
+    """
+    rng = np.random.default_rng(seed)
+    phis = np.where(rng.random(60) < 0.25, 0.0, rng.uniform(-7.0, 7.0, 60))
+    r = rng.uniform(0.02, 0.98, 60)
+    r[:6] = [1e-9, 1e-9, R_CLAMP_LO, R_CLAMP_LO, 1.0001 * R_CLAMP_LO, 2.0 * R_CLAMP_LO]
+    phis[:6:2] = 0.0
+    # sqrt(1 - 1e-18) rounds to 1, which a splitter rejects; the float below
+    # 1 keeps t^2 + r^2 within NORM_TOL of 1.
+    t = np.minimum(np.sqrt(1.0 - r * r), np.nextafter(1.0, 0.0))
+    per_phase = BeamSplitterParams(t=t, r=r)
+    return [
+        PairBatch.phase_settings(BeamSplitterParams.from_r(0.58309), phis),
+        PairBatch.phase_settings(per_phase, phis),
+    ]
+
+
+# Digest of the final amplitudes (keys included) and the readout of
+# phase_settings_batches(2025), recorded on the pipeline that ran every stage
+# on all four settings' rows: running the setting-free stages once per phase
+# keeps every byte.
+PHASE_SETTINGS_SHA256 = "1e9905d4ef5bdb305b297600ecec593bf62715d2412361153dd9a8a5c962f1da"
+
+
+def test_phase_settings_batches_keep_their_bits():
+    digest = hashlib.sha256()
+    for batch in phase_settings_batches(2025):
+        state = run_pair_state(batch)
+        for key in state.keys:
+            digest.update(repr(key).encode())
+            digest.update(state.amplitude(key).tobytes())
+        readout = run_pair(batch)
+        for outcome in sorted(OUTCOME_KEYS, key=str):
+            digest.update(repr(outcome).encode())
+            digest.update(readout.prob(outcome).tobytes())
+    assert digest.hexdigest() == PHASE_SETTINGS_SHA256
