@@ -1,8 +1,11 @@
 """The interferometer setups: single bomb test, annihilation pair, phase pair.
 
-Each runner assembles the same pipeline (first splitters, the coupling if
-any, the optional in-arm detectors, second splitters, readout) and returns
-a normalized outcome table.  The closed forms kept alongside (retest
+The bomb test runs first splitter, optional bomb, second splitter, readout.
+Twin runs share one pipeline in four steps.  The first splitters and the
+coupling, which come before any in-arm detector, act once per run; their
+state is fanned out to the four detector placements with one gather; the
+second splitters act on every placement; and each row of the batch takes
+its own placement's row.  The closed forms kept alongside (retest
 efficiency, the joint bright-port amplitude, the gravitational phase) are the
 quantities the rest of the package reasons about.
 """
@@ -10,6 +13,7 @@ quantities the rest of the package reasons about.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,16 +55,22 @@ HBAR = 1.054571817e-34  # J s (CODATA 2018)
 # Detector placements (side 1, side 2); True when the in-arm detector is placed.
 SETTINGS = ((True, True), (True, False), (False, True), (False, False))
 _SETTING_COLUMNS = np.array(SETTINGS).T  # the u1 and u2 masks over SETTINGS
+# _PLACEMENT[2 * u1 + u2] is the index in SETTINGS of the placements (u1, u2).
+_PLACEMENT = np.array([SETTINGS.index((u1, u2)) for u1 in (False, True) for u2 in (False, True)])
 
 
 @dataclass(frozen=True, eq=False)
 class PairBatch:
-    """Twin runs as columns: entry ``k`` of every field describes row ``k``.
+    """Twin runs under detector placements, as columns.
 
-    ``phi`` is each row's joint phase, zero on rows without a phase coupling
-    (a zero phase leaves the amplitudes bit-identical); ``annihilate``,
-    ``u1`` and ``u2`` are boolean masks of the rows whose ``u`` arms
-    annihilate and of the rows with each in-arm detector placed.
+    A run is a splitter ratio, a joint phase and a coupling kind: entry
+    ``j`` of ``phi`` and ``annihilate``, and of ``bs`` when it holds one
+    ratio per run, describes run ``j``.  ``phi`` is zero for runs without a
+    phase coupling (a zero phase leaves the amplitudes bit-identical), and
+    ``annihilate`` marks the runs whose ``u`` arms annihilate.  ``u1`` and
+    ``u2`` are boolean masks of the rows with each in-arm detector placed;
+    row ``i`` is run ``i % runs``, so the rows are a positive multiple of
+    the runs.  Columns of other lengths raise ``ValueError``.
     """
 
     bs: BeamSplitterParams
@@ -69,23 +79,44 @@ class PairBatch:
     u1: np.ndarray
     u2: np.ndarray
 
+    def __post_init__(self) -> None:
+        runs, rows = len(self.phi), len(self.u1)
+        if np.ndim(self.bs.r) and len(self.bs.r) != runs:
+            raise ValueError(
+                f"need one splitter ratio per phase, got {len(self.bs.r)} ratios "
+                f"for {runs} phases"
+            )
+        if len(self.annihilate) != runs:
+            raise ValueError(
+                f"need one annihilate entry per phase, got {len(self.annihilate)} "
+                f"for {runs} phases"
+            )
+        if len(self.u2) != rows:
+            raise ValueError(f"u1 and u2 need one length, got {rows} and {len(self.u2)}")
+        if not runs or not rows or rows % runs:
+            raise ValueError(
+                f"need a positive multiple of the runs as rows, got {rows} rows for {runs} runs"
+            )
+
+    @property
+    def runs(self) -> int:
+        return len(self.phi)
+
     @property
     def rows(self) -> int:
-        return len(self.phi)
+        return len(self.u1)
 
     @classmethod
     def of(
         cls, bs: BeamSplitterParams, *, phi=0.0, annihilate=False, u1=False, u2=False
     ) -> "PairBatch":
-        """Twin runs from columns, each given as one value for every row or one per row.
+        """One run per row, from columns each given as one value for every row or one per row.
 
         The batch has as many rows as the per-row arguments, one if there are
         none; ``bs`` is kept as given.  Per-row arguments of different
         lengths, or empty ones, raise ``ValueError``.
         """
         (rows,) = np.broadcast_shapes((1,), *map(np.shape, (bs.r, phi, annihilate, u1, u2)))
-        if rows == 0:
-            raise ValueError("a batch needs at least one row")
         return cls(
             bs,
             np.full(rows, phi, dtype=float),
@@ -96,26 +127,16 @@ class PairBatch:
 
     @classmethod
     def phase_settings(cls, bs: BeamSplitterParams, phis) -> "PairBatch":
-        """Phase-coupled runs under every setting: row ``k * len(phis) + j``
-        has the placements ``SETTINGS[k]`` and the phase ``phis[j]``.
+        """One phase-coupled run per phase, under every setting: row
+        ``k * len(phis) + j`` has the placements ``SETTINGS[k]`` and the
+        phase ``phis[j]``.
 
-        ``bs`` is shared by every row, or holds one ratio per phase, tiled
-        over the settings as the phases are; any other count of ratios raises
-        ``ValueError``.
+        ``bs`` is shared by every run, or holds one ratio per phase; any
+        other count of ratios, or no phase, raises ``ValueError``.
         """
-        phis = np.asarray(phis, dtype=float)
+        phis = np.array(phis, dtype=float)
         u1, u2 = np.repeat(_SETTING_COLUMNS, len(phis), axis=1)
-        no_annihilation = np.zeros(len(u1), dtype=bool)
-        if isinstance(bs.r, np.ndarray):
-            if bs.r.shape != phis.shape:
-                raise ValueError(
-                    f"need one splitter ratio per phase, got {bs.r.size} ratios "
-                    f"for {phis.size} phases"
-                )
-            bs = BeamSplitterParams(
-                t=np.concatenate((bs.t,) * len(SETTINGS)), r=np.concatenate((bs.r,) * len(SETTINGS))
-            )
-        return cls(bs, np.concatenate((phis,) * len(SETTINGS)), no_annihilation, u1, u2)
+        return cls(bs, phis, np.zeros(len(phis), dtype=bool), u1, u2)
 
 
 @dataclass(frozen=True)
@@ -158,27 +179,56 @@ def ev_retest_efficiency(bs: BeamSplitterParams) -> float:
     return t_sq / (1.0 + t_sq)
 
 
+@functools.lru_cache(maxsize=64)
+def _fan_out(keys: tuple) -> tuple[tuple, np.ndarray]:
+    """Plan the fan-out of a state listing ``keys`` to every detector placement.
+
+    Returns the keys the in-arm detectors leave and, per key and placement
+    (in ``SETTINGS`` order), the row of the prefix amplitudes it copies,
+    counted from 1 with row 0 a row of zeros.  The plan is read off the
+    absorbers themselves, run on a probe whose column ``k`` holds ``k + 1``
+    in every placement, so :func:`apply_absorber` stays the only definition
+    of where absorbed amplitude goes.  A state before the detectors lists no
+    sink key, so the absorbers move and keep amplitude without adding any:
+    each entry of the probe's result names one source.
+    """
+    probe = np.arange(1, len(keys) + 1).astype(complex)[:, None].repeat(len(SETTINGS), 1)
+    state = JointState(probe, keys)
+    for particle, placed in enumerate(_SETTING_COLUMNS):
+        state = apply_absorber(state, particle, U, ABSORBED, placed)
+    return state.keys, state.amps.real.astype(np.intp)
+
+
 def run_pair_state(batch: PairBatch) -> JointState:
     """Final (pre-readout) joint states of a batch of twin runs.
 
-    The second splitters act on both sides even when an in-arm detector is
-    placed: the not-absorbed part of that side still propagates to ``C``/``D``.
+    The first splitters and the coupling act once per run.  One gather then
+    copies their state to every detector placement, placement-major: row
+    ``k * runs + j`` is run ``j`` under ``SETTINGS[k]``.  The second
+    splitters act on all of them, and each row of the batch takes its own
+    placement's row.  The second splitters act on both sides even when an
+    in-arm detector is placed: the not-absorbed part of that side still
+    propagates to ``C``/``D``.
     """
-    state = JointState.pair(batch.rows)
+    runs = batch.runs
+    state = JointState.pair(runs)
     state = apply_bs1(state, 0, batch.bs)
     state = apply_bs1(state, 1, batch.bs)
-    # A stage no row has is skipped; applying it would leave the state as is.
+    # A coupling no run has is skipped; applying it would leave the state as is.
     if batch.phi.any():
         state = apply_phase_coupling(state, batch.phi)
     if batch.annihilate.any():
         state = apply_annihilation_coupling(state, batch.annihilate)
-    if batch.u1.any():
-        state = apply_absorber(state, 0, U, ABSORBED, batch.u1)
-    if batch.u2.any():
-        state = apply_absorber(state, 1, U, ABSORBED, batch.u2)
-    state = apply_bs2(state, 0, batch.bs)
-    state = apply_bs2(state, 1, batch.bs)
-    return state
+    keys, sources = _fan_out(state.keys)
+    padded = np.concatenate((np.zeros((1, runs), dtype=complex), state.amps))
+    state = JointState(padded.take(sources, 0).reshape(len(keys), -1), keys)
+    bs = batch.bs
+    if np.ndim(bs.r):
+        bs = BeamSplitterParams(t=np.tile(bs.t, len(SETTINGS)), r=np.tile(bs.r, len(SETTINGS)))
+    state = apply_bs2(state, 0, bs)
+    state = apply_bs2(state, 1, bs)
+    rows = _PLACEMENT.take(2 * batch.u1 + batch.u2) * runs + np.arange(batch.rows) % runs
+    return JointState(state.amps.take(rows, 1), state.keys)
 
 
 def run_pair(batch: PairBatch) -> Readout:

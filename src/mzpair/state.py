@@ -175,6 +175,8 @@ class JointState:
 
     @classmethod
     def _from(cls, rows: int, amplitudes: dict[Key, complex]) -> "JointState":
+        if rows < 1:
+            raise ValueError(f"a state needs at least one row, got {rows}")
         kept = {key: v for key, v in amplitudes.items() if abs(v) >= PRUNE_THRESHOLD}
         unknown = kept.keys() - _ALL_KEYS
         if unknown:

@@ -173,7 +173,8 @@ class TestSimulatedBehavior:
 
         def with_annihilation(bs, phis):
             batch = real(bs, phis)
-            return dataclasses.replace(batch, annihilate=np.ones(batch.rows, dtype=bool))
+            # annihilate is a run column: one entry per phase, not per row
+            return dataclasses.replace(batch, annihilate=np.ones(len(batch.phi), dtype=bool))
 
         monkeypatch.setattr(PairBatch, "phase_settings", staticmethod(with_annihilation))
         with pytest.raises(RuntimeError, match="'gamma'"):

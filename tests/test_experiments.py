@@ -1,5 +1,6 @@
 """Tests for the experiment runners and their closed forms."""
 
+import dataclasses
 import math
 import random
 
@@ -18,7 +19,7 @@ from mzpair.experiments import (
     run_pair,
     run_pair_state,
 )
-from mzpair.state import C, BeamSplitterParams
+from mzpair.state import OUTCOME_KEYS, C, BeamSplitterParams
 
 ATOL = 1e-12
 
@@ -253,6 +254,68 @@ class TestPairBatch:
         bs = BeamSplitterParams(t=np.sqrt(1.0 - r * r), r=r)
         with pytest.raises(ValueError, match=f"got {len(ratios)} ratios for 2 phases"):
             PairBatch.phase_settings(bs, [0.0, 1.0])
+
+
+    def test_phase_settings_needs_a_phase(self):
+        with pytest.raises(ValueError, match="got 0 rows for 0 runs"):
+            PairBatch.phase_settings(self.BS, [])
+
+    # changes to a 2-run, 8-row phase_settings batch, and the message each must raise
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            pytest.param({"bs": PER_ROW_BS}, "got 3 ratios for 2 phases", id="bs"),
+            pytest.param({"annihilate": np.zeros(8, bool)}, "got 8 for 2 phases", id="annihilate"),
+            pytest.param({"phi": np.zeros(3)}, "got 2 for 3 phases", id="phi"),
+            pytest.param({"u1": np.ones(7, bool)}, "got 7 and 8", id="u1"),
+            pytest.param({"u2": np.ones(9, bool)}, "got 8 and 9", id="u2"),
+            pytest.param(
+                {"u1": np.ones(5, bool), "u2": np.ones(5, bool)}, "got 5 rows for 2 runs", id="rows"
+            ),
+            pytest.param(
+                {"u1": np.ones(0, bool), "u2": np.ones(0, bool)}, "got 0 rows for 2 runs", id="no-row"
+            ),
+            pytest.param(
+                {"phi": np.zeros(0), "annihilate": np.zeros(0, bool)},
+                "got 8 rows for 0 runs",
+                id="no-run",
+            ),
+        ],
+    )
+    def test_direct_construction_checks_column_lengths(self, changes, message):
+        batch = PairBatch.phase_settings(self.BS, [0.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(batch, **changes)
+        columns = {name: getattr(batch, name) for name in ("bs", "phi", "annihilate", "u1", "u2")}
+        with pytest.raises(ValueError, match=message):
+            PairBatch(**(columns | changes))
+
+    def test_rows_repeat_the_runs(self):
+        # Row i is run i % runs, under its own placements, with the bits of
+        # that run alone.
+        rng = np.random.default_rng(41)
+        r = np.array([0.3, 0.58309, 0.9])
+        bs = BeamSplitterParams(t=np.sqrt(1.0 - r * r), r=r)
+        u1, u2 = rng.random((2, 12)) < 0.5
+        batch = PairBatch(bs, np.array([0.0, 2.5, -1.0]), np.array([True, False, True]), u1, u2)
+        state = run_pair_state(batch)
+        readout = run_pair(batch)
+        for i in range(12):
+            j = i % 3
+            alone = PairBatch.of(
+                BeamSplitterParams.from_r(r[j]),
+                phi=batch.phi[j],
+                annihilate=batch.annihilate[j],
+                u1=u1[i],
+                u2=u2[i],
+            )
+            single, single_readout = run_pair_state(alone), run_pair(alone)
+            for key in set(state.keys) | set(single.keys):
+                ours, theirs = state.amplitude(key)[i], single.amplitude(key)[0]
+                assert ours.tobytes() == theirs.tobytes(), (i, key)
+            for outcome in OUTCOME_KEYS:
+                ours, theirs = readout.prob(outcome)[i], single_readout.prob(outcome)[0]
+                assert ours.tobytes() == theirs.tobytes(), (i, outcome)
 
 
 class TestCoupling:

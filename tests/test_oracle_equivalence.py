@@ -10,6 +10,7 @@ import random
 
 import dense_oracle as oracle
 import numpy as np
+import pytest
 
 from mzpair.experiments import SETTINGS, PairBatch, run_pair, run_pair_state
 from mzpair.state import (
@@ -170,6 +171,23 @@ def test_batch_rows_are_bit_identical_to_batches_of_one():
             assert ours[row].tobytes() == theirs[0].tobytes(), key
         assert readout.row(row) == single.row(0)
 
+
+
+@pytest.mark.parametrize("setting", [None, *SETTINGS], ids=["as-drawn", "TT", "TF", "FT", "FF"])
+def test_mixed_batch_rows_match_batches_of_one_under_every_placement(setting):
+    # Each run of a batch is fanned out to all four placements and each row
+    # keeps its own, so a row's bits must not depend on the placements of
+    # the rows around it: with the drawn placements and with every row
+    # under one placement.
+    runs = random_runs(300, 5077)
+    if setting is not None:
+        runs = [(r, kind, phi, *setting) for r, kind, phi, _, _ in runs]
+    readout = run_pair(pair_batch(runs))
+    for row, run in enumerate(runs):
+        single = run_pair(pair_batch([run]))
+        for key in set(readout.keys) | set(single.keys):
+            ours, theirs = key_probability(readout, key), key_probability(single, key)
+            assert ours[row].tobytes() == theirs[0].tobytes(), (row, key)
 
 
 def test_strided_inputs_give_the_bytes_of_contiguous_ones():

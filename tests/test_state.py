@@ -421,6 +421,11 @@ class TestKeyColumns:
         with pytest.raises(ValueError, match="unknown keys"):
             JointState.of({(U, "x"): 1.0})
 
+    @pytest.mark.parametrize("build", [JointState.single, JointState.pair])
+    def test_zero_rows_rejected(self, build):
+        with pytest.raises(ValueError, match="at least one row, got 0"):
+            build(0)
+
 
 def mixed_batches(seed):
     """A shared-ratio and a per-row-ratio batch of 150 rows each, mixing zero and
