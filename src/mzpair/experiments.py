@@ -196,7 +196,9 @@ def _fan_out(keys: tuple) -> tuple[tuple, np.ndarray]:
     state = JointState(probe, keys)
     for particle, placed in enumerate(_SETTING_COLUMNS):
         state = apply_absorber(state, particle, U, ABSORBED, placed)
-    return state.keys, state.amps.real.astype(np.intp)
+    sources = state.amps.real.astype(np.intp)
+    sources.setflags(write=False)  # shared by every caller through the cache
+    return state.keys, sources
 
 
 def run_pair_state(batch: PairBatch) -> JointState:
@@ -205,10 +207,10 @@ def run_pair_state(batch: PairBatch) -> JointState:
     The first splitters and the coupling act once per run.  One gather then
     copies their state to every detector placement, placement-major: row
     ``k * runs + j`` is run ``j`` under ``SETTINGS[k]``.  The second
-    splitters act on all of them, and each row of the batch takes its own
-    placement's row.  The second splitters act on both sides even when an
-    in-arm detector is placed: the not-absorbed part of that side still
-    propagates to ``C``/``D``.
+    splitters act on both sides of every placement, even where an in-arm
+    detector is placed (the not-absorbed part of that side still propagates
+    to ``C``/``D``), and each row of the batch then takes its own
+    placement's row.
     """
     runs = batch.runs
     state = JointState.pair(runs)

@@ -42,11 +42,12 @@ R_CLAMP_HI = 1.0 - 1e-3
 
 MIDDLE_TERM_TOL = 1e-12
 
-# Phases per engine batch, so one default-grid r row (4 x 200 states) is one
-# batch.  Default find_max_violation, medians of 7 on 2 CPUs: 0.128 s at 50
-# phases, 0.083 s at 100, 0.061 s at 200, 0.059 s at 400; sweep peak RSS read
-# 30.2 MB at 50 and 30.3 MB at 200 and 400.  It still caps memory when a grid
-# has many more phases per row.
+# Phases per engine batch, so one default-grid r row (200 runs fanned out to
+# 4 x 200 states) is one batch.  Default find_max_violation, medians of 7
+# interleaved runs on 2 CPUs: 0.135 s at 50 phases, 0.089 s at 100, 0.060 s
+# at 200, 0.056 s at 400 (another sitting: 0.217, 0.132, 0.089, 0.091 s);
+# sweep peak RSS read 30.5 MB at 50 and 30.6-30.7 MB at 200 and 400.  It
+# still caps memory when a grid has many more phases per row.
 SCAN_BLOCK = 200
 
 # Zoom grid values per refined axis, and the box's shrink per round: the new

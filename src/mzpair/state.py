@@ -34,6 +34,12 @@ the exact answer is 0.  An operation applied out of pipeline order finds
 nonzero amplitude on a key it cannot act on and raises
 :class:`PipelineError`.
 
+Twin runs (``experiments.run_pair_state``) apply the first splitters and
+the coupling once per run and copy that state to each detector placement
+with one gather.  The gather is planned by running :func:`apply_absorber` on
+a probe state, so the absorber stays the one definition of where absorbed
+amplitude goes; the second splitters then act on every placement's rows.
+
 All transformations are pure functions returning new states; nothing here
 holds shared mutable state.
 """
