@@ -93,6 +93,8 @@ class PairBatch:
             )
         if len(self.u2) != rows:
             raise ValueError(f"u1 and u2 need one length, got {rows} and {len(self.u2)}")
+        if self.u1.dtype != bool or self.u2.dtype != bool:
+            raise ValueError(f"u1 and u2 must be boolean, got {self.u1.dtype} and {self.u2.dtype}")
         if not runs or not rows or rows % runs:
             raise ValueError(
                 f"need a positive multiple of the runs as rows, got {rows} rows for {runs} runs"
@@ -201,6 +203,19 @@ def _fan_out(keys: tuple) -> tuple[tuple, np.ndarray]:
     return state.keys, sources
 
 
+@functools.lru_cache(maxsize=64)
+def _selection(runs: int, u1: bytes, u2: bytes) -> np.ndarray:
+    """The fanned-out row each batch row keeps: its run under its own placements.
+
+    Takes the bytes of the boolean ``u1`` and ``u2`` masks, which a scan
+    repeats batch after batch, hence the cache.
+    """
+    u1, u2 = np.frombuffer(u1, dtype=bool), np.frombuffer(u2, dtype=bool)
+    rows = _PLACEMENT.take(2 * u1 + u2) * runs + np.arange(len(u1)) % runs
+    rows.setflags(write=False)
+    return rows
+
+
 def run_pair_state(batch: PairBatch) -> JointState:
     """Final (pre-readout) joint states of a batch of twin runs.
 
@@ -229,7 +244,7 @@ def run_pair_state(batch: PairBatch) -> JointState:
         bs = BeamSplitterParams(t=np.tile(bs.t, len(SETTINGS)), r=np.tile(bs.r, len(SETTINGS)))
     state = apply_bs2(state, 0, bs)
     state = apply_bs2(state, 1, bs)
-    rows = _PLACEMENT.take(2 * batch.u1 + batch.u2) * runs + np.arange(batch.rows) % runs
+    rows = _selection(runs, batch.u1.tobytes(), batch.u2.tobytes())
     return JointState(state.amps.take(rows, 1), state.keys)
 
 

@@ -269,6 +269,7 @@ class TestPairBatch:
             pytest.param({"phi": np.zeros(3)}, "got 2 for 3 phases", id="phi"),
             pytest.param({"u1": np.ones(7, bool)}, "got 7 and 8", id="u1"),
             pytest.param({"u2": np.ones(9, bool)}, "got 8 and 9", id="u2"),
+            pytest.param({"u1": np.ones(8, int)}, "must be boolean, got int64", id="u1-dtype"),
             pytest.param(
                 {"u1": np.ones(5, bool), "u2": np.ones(5, bool)}, "got 5 rows for 2 runs", id="rows"
             ),
