@@ -44,8 +44,8 @@ MIDDLE_TERM_TOL = 1e-12
 
 # Phases per engine batch, so one default-grid r row (200 runs fanned out to
 # 4 x 200 states) is one batch.  Default find_max_violation, medians of 7
-# interleaved runs on 2 CPUs: 0.135 s at 50 phases, 0.089 s at 100, 0.060 s
-# at 200, 0.056 s at 400 (another sitting: 0.217, 0.132, 0.089, 0.091 s);
+# interleaved runs on 2 CPUs: 0.177 s at 50 phases, 0.109 s at 100, 0.076 s
+# at 200, 0.078 s at 400 (another sitting: 0.188, 0.116, 0.078, 0.076 s);
 # sweep peak RSS read 30.5 MB at 50 and 30.6-30.7 MB at 200 and 400.  It
 # still caps memory when a grid has many more phases per row.
 SCAN_BLOCK = 200

@@ -255,7 +255,6 @@ class TestPairBatch:
         with pytest.raises(ValueError, match=f"got {len(ratios)} ratios for 2 phases"):
             PairBatch.phase_settings(bs, [0.0, 1.0])
 
-
     def test_phase_settings_needs_a_phase(self):
         with pytest.raises(ValueError, match="got 0 rows for 0 runs"):
             PairBatch.phase_settings(self.BS, [])
@@ -269,12 +268,14 @@ class TestPairBatch:
             pytest.param({"phi": np.zeros(3)}, "got 2 for 3 phases", id="phi"),
             pytest.param({"u1": np.ones(7, bool)}, "got 7 and 8", id="u1"),
             pytest.param({"u2": np.ones(9, bool)}, "got 8 and 9", id="u2"),
-            pytest.param({"u1": np.ones(8, int)}, "must be boolean, got int64", id="u1-dtype"),
+            pytest.param({"u1": np.ones(8, np.int64)}, "must be boolean, got int64", id="u1-dtype"),
             pytest.param(
                 {"u1": np.ones(5, bool), "u2": np.ones(5, bool)}, "got 5 rows for 2 runs", id="rows"
             ),
             pytest.param(
-                {"u1": np.ones(0, bool), "u2": np.ones(0, bool)}, "got 0 rows for 2 runs", id="no-row"
+                {"u1": np.ones(0, bool), "u2": np.ones(0, bool)},
+                "got 0 rows for 2 runs",
+                id="no-row",
             ),
             pytest.param(
                 {"phi": np.zeros(0), "annihilate": np.zeros(0, bool)},
