@@ -7,7 +7,12 @@ setting's outcomes.  On top of it live three views that must agree:
 * the four-term inequality  p(U1,U2) - p(U1,!C2) - p(!C1,U2) - p(C1,C2) <= 0,
   satisfied by every local deterministic strategy;
 * exact membership in the polytope spanned by the 36 deterministic
-  strategies, decided by a small phase-1 simplex;
+  strategies.  A behavior that violates one of the 72 liftings of CHSH by
+  more than the tolerance plus a margin is outside, and that lifting is its
+  Farkas certificate (``iterations`` 0); any other behavior goes to a small
+  phase-1 simplex.  The printed ``lhv_infeasibility`` is the simplex's
+  leftover mass either way: a lifting-decided verdict solves for it when
+  it is first read;
 * the counting form: four statements whose probabilities cannot sum past
   N - 1 if some run makes them all true at once.
 
@@ -296,12 +301,49 @@ def membership_system(behavior: BehaviorTable) -> tuple[np.ndarray, np.ndarray]:
     return _strategy_matrix(), np.append(behavior.cells, 1.0)
 
 
+# The 72 liftings of CHSH (Pironio, J. Math. Phys. 46, 062112 (2005)), each
+# as a Farkas vector y = (w, -2) over the rows of membership_system.  Each
+# side reads +1 for one of its three placed-detector letters and for C when
+# its detector is absent, -1 otherwise; w gives every cell the product of
+# the two sides' signs, negated on one setting, then possibly negated
+# throughout: 9 x 4 x 2 rows.  Every entry is +-1 but the -2, and w @ cells
+# <= 2 for every local behavior, so y @ A <= 0 and y @ b is the excess.
+_LIFTINGS = np.array(
+    [
+        [
+            sign
+            * (-1.0 if setting == minus else 1.0)
+            * (1.0 if outcome[0] == (own1 if setting[0] else "C") else -1.0)
+            * (1.0 if outcome[1] == (own2 if setting[1] else "C") else -1.0)
+            for setting, outcome in CELLS
+        ]
+        + [-2.0]
+        for own1 in side_outcomes(True)
+        for own2 in side_outcomes(True)
+        for minus in SETTINGS
+        for sign in (1.0, -1.0)
+    ]
+)
+_LIFTINGS.setflags(write=False)
+# One certificate tuple per lifting, shared by every verdict it decides.
+_LIFTING_CERTIFICATES = tuple(map(tuple, _LIFTINGS.tolist()))
+# How far past ``tol`` a lifting's excess must reach to decide a verdict.
+# Every entry of y is at most 1 and y @ A <= 0, so y is feasible for the
+# phase-1 dual and the simplex's leftover mass is at least y @ b.  That sum
+# of 26 terms of size <= 2 rounds by about 1e-14, and the leftover mass
+# carries pivoting error of the same order; 1e-10 stays four orders clear
+# of both, so the simplex would also find the mass above ``tol``.
+_LIFTING_MARGIN = 1e-10
+
+
 @dataclass(frozen=True)
 class LhvMembership:
     """Outcome of the polytope membership test.
 
     ``weights`` align with :func:`enumerate_deterministic_strategies`;
     ``certificate`` aligns with the rows of :func:`membership_system`.
+    A verdict that a lifting of CHSH decided has ``iterations`` 0 and
+    solves for its ``infeasibility`` when that is first read.
     """
 
     feasible: bool
@@ -311,30 +353,62 @@ class LhvMembership:
     certificate: tuple[float, ...] | None
     iterations: int
 
+    def __getattr__(self, name: str) -> float:
+        # Reached only for an attribute never set: the leftover mass of a
+        # verdict from _lifting_verdict, which keeps its behavior instead.
+        behavior = self.__dict__.get("_behavior")
+        if name != "infeasibility" or behavior is None:
+            raise AttributeError(name)
+        infeasibility = solve_phase1(*membership_system(behavior)).objective
+        self.__dict__[name] = infeasibility
+        return infeasibility
+
+
+def _lifting_verdict(behavior: BehaviorTable, certificate: tuple[float, ...]) -> LhvMembership:
+    verdict = object.__new__(LhvMembership)
+    verdict.__dict__.update(
+        feasible=False,
+        weights=None,
+        residual=None,
+        certificate=certificate,
+        iterations=0,
+        _behavior=behavior,
+    )
+    return verdict
+
 
 def lhv_membership(behavior: BehaviorTable, *, tol: float = FEASIBILITY_TOL) -> LhvMembership:
     """Can a mixture of the 36 deterministic strategies reproduce this behavior?
 
-    A feasible verdict carries weights ``w`` with ``max|A w - b| <= tol``; an
-    infeasible one carries a Farkas certificate ``y`` with ``y.b > 0`` and
-    ``y.A <= tol``.  Both are checked here, and one that fails raises
-    ``RuntimeError``.
+    A lifting of CHSH whose excess over its local bound 2 passes ``tol`` by
+    a margin decides that no mixture can, with no simplex run; otherwise a
+    phase-1 simplex decides.  A feasible verdict carries weights ``w`` with
+    ``max|A w - b| <= tol``; an infeasible one carries a Farkas certificate
+    ``y`` with ``y.b > 0`` and ``y.A <= tol``.  Both are checked here, and
+    one that fails raises ``RuntimeError``.
     """
     A, b = membership_system(behavior)
-    result = solve_phase1(A, b, tol=tol)
-    if result.feasible:
-        weights = result.x
-        residual = float(np.max(np.abs(A @ weights - b)))
-        if not residual <= tol:
-            raise RuntimeError(f"local-model weights fail: max|A w - b| = {residual!r}")
-        return LhvMembership(
-            True, tuple(weights), residual, result.objective, None, result.iterations
-        )
-    y = result.certificate
+    excess = _LIFTINGS @ b
+    k = int(excess.argmax())
+    if excess[k] > tol + _LIFTING_MARGIN:
+        verdict = _lifting_verdict(behavior, _LIFTING_CERTIFICATES[k])
+    else:
+        result = solve_phase1(A, b, tol=tol)
+        if result.feasible:
+            weights = result.x
+            residual = float(np.max(np.abs(A @ weights - b)))
+            if not residual <= tol:
+                raise RuntimeError(f"local-model weights fail: max|A w - b| = {residual!r}")
+            return LhvMembership(
+                True, tuple(weights), residual, result.objective, None, result.iterations
+            )
+        certificate = tuple(result.certificate)
+        verdict = LhvMembership(False, None, None, result.objective, certificate, result.iterations)
+    y = np.array(verdict.certificate)
     yb, ya = float(y @ b), float(np.max(y @ A))
     if not (yb > 0.0 and ya <= tol):
         raise RuntimeError(f"Farkas certificate fails: y.b = {yb!r}, max(y.A) = {ya!r}")
-    return LhvMembership(False, None, None, result.objective, tuple(y), result.iterations)
+    return verdict
 
 
 def logical_inequality(probabilities) -> float:

@@ -246,7 +246,9 @@ def find_max_violation(grid: SweepGrid | None = None, refine_tol: float = 1e-8) 
     evals += n
 
     # Keep the invariant literal: the returned point beats its refine-scale
-    # neighbors and every coarse cell.
+    # neighbors and every coarse cell.  The zoom moves only on a strict
+    # improvement and its best point is evaluated first here, so falling
+    # below the coarse best means the refinement is broken.
     rs = np.clip([r_cur, r_cur - refine_tol, r_cur + refine_tol, r_cur, r_cur], r_lo, r_hi)
     phis = np.clip(
         [phi_cur, phi_cur, phi_cur, phi_cur - refine_tol, phi_cur + refine_tol], phi_lo, phi_hi
@@ -254,7 +256,10 @@ def find_max_violation(grid: SweepGrid | None = None, refine_tol: float = 1e-8) 
     n, (r_cur, phi_cur, _, _, v_cur) = first_max(_points(rs, phis))
     evals += n
     if best_v > v_cur:
-        r_cur, phi_cur, v_cur = best_r, best_phi, best_v
+        raise RuntimeError(
+            f"refined violation {v_cur!r} at r={r_cur!r}, phi={phi_cur!r} "
+            f"fell below the coarse best {best_v!r}"
+        )
 
     margin = 2.0 * refine_tol
     at_boundary = (

@@ -9,6 +9,7 @@ import pytest
 
 from mzpair import bell
 from mzpair.bell import (
+    CELLS,
     FEASIBILITY_TOL,
     SETTINGS,
     BehaviorTable,
@@ -24,6 +25,7 @@ from mzpair.bell import (
     side_outcomes,
 )
 from mzpair.experiments import PairBatch, run_pair
+from mzpair.simplex import solve_phase1
 from mzpair.state import BeamSplitterParams
 
 ATOL = 1e-12
@@ -36,6 +38,47 @@ TUNED_JOINT_PROB = (3.0 - 2.0 * math.sqrt(2.0)) / 2.0
 
 def optimum_behavior():
     return behavior_from_phase_setup(BeamSplitterParams.from_r(OPT_R), OPT_PHI)
+
+
+def optimum_mixed_to_excess(excess):
+    """The optimum behavior mixed with a local one, so its lifting exceeds 2 by ``excess``.
+
+    The local behavior is a deterministic strategy on which the optimum's
+    violated lifting is tight, and no lifting exceeds 2 on it, so the
+    mixture's largest excess is the optimum's, scaled by its share.
+    """
+    optimum = optimum_behavior()
+    y = np.asarray(lhv_membership(optimum).certificate)
+    w, bound = y[:-1], -y[-1]
+    tight = next(
+        cells
+        for cells in (s.behavior().cells for s in enumerate_deterministic_strategies())
+        if w @ cells == bound
+    )
+    share = excess / (w @ optimum.cells - bound)
+    cells = share * optimum.cells + (1.0 - share) * tight
+    return BehaviorTable.from_tables(
+        {s: {o: float(p) for (t, o), p in zip(CELLS, cells) if t == s} for s in SETTINGS}
+    )
+
+
+# Certificate faults, each breaking one half of the Farkas test.  b and A
+# both end in a row of ones, so adding c to y's last entry adds c to y.b and
+# to every y.A_j: -1 takes y.b below 0 (every excess here is under 1) and
+# keeps y.A <= 0; +0.5 keeps y.b positive and takes max(y.A) past tol.
+CERTIFICATE_FAULTS = {
+    "y.b": lambda y: np.append(y[:-1], y[-1] - 1.0),
+    "y.A": lambda y: np.append(y[:-1], y[-1] + 0.5),
+}
+
+
+def faulted(fault, y, behavior):
+    """``y`` with ``fault``, checked to fail only the half of the test it names."""
+    A, b = membership_system(behavior)
+    bad = CERTIFICATE_FAULTS[fault](np.asarray(y))
+    passes = (float(bad @ b) > 0.0, float(np.max(bad @ A)) <= FEASIBILITY_TOL)
+    assert passes == ((False, True) if fault == "y.b" else (True, False))
+    return bad
 
 
 def test_side_outcomes():
@@ -323,16 +366,84 @@ class TestLhvMembership:
         assert float(y @ b) > FEASIBILITY_TOL
         assert float(np.max(A.T @ y)) <= FEASIBILITY_TOL
 
+    def test_violated_lifting_decides_without_the_simplex(self, monkeypatch):
+        behavior = optimum_behavior()
+        A, b = membership_system(behavior)
+        objective = solve_phase1(A, b).objective
+
+        def unreachable(A, b, **kwargs):
+            raise AssertionError("the simplex ran")
+
+        monkeypatch.setattr(bell, "solve_phase1", unreachable)
+        membership = lhv_membership(behavior)
+        assert not membership.feasible and membership.iterations == 0
+        assert membership.certificate is lhv_membership(behavior).certificate
+        assert float(np.asarray(membership.certificate) @ b) > 0.39
+        monkeypatch.undo()
+        assert membership.infeasibility == objective
+        assert dataclasses.replace(membership, iterations=1).infeasibility == objective
+
+    @pytest.mark.parametrize(
+        "excess, decided_by",
+        [
+            (0.5 * FEASIBILITY_TOL, "simplex"),
+            (FEASIBILITY_TOL + 0.5 * bell._LIFTING_MARGIN, "simplex"),
+            (FEASIBILITY_TOL + 2.0 * bell._LIFTING_MARGIN, "lifting"),
+        ],
+    )
+    def test_verdicts_around_the_threshold_match_the_simplex(self, excess, decided_by):
+        behavior = optimum_mixed_to_excess(excess)
+        A, b = membership_system(behavior)
+        simplex = solve_phase1(A, b, tol=FEASIBILITY_TOL)
+        membership = lhv_membership(behavior)
+        assert membership.feasible == simplex.feasible
+        assert membership.infeasibility == simplex.objective
+        assert (membership.iterations == 0) == (decided_by == "lifting")
+
+    def test_seeded_verdicts_match_the_simplex(self):
+        # Drawn like the bell-points benchmark, on a seed it does not use.
+        rng = random.Random(2024)
+        decided = 0
+        for i in range(300):
+            r, phi = (
+                (rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi))
+                if i % 2 == 0
+                else (rng.uniform(0.50, 0.66), rng.uniform(math.pi - 0.5, math.pi + 0.5))
+            )
+            behavior = behavior_from_phase_setup(BeamSplitterParams.from_r(r), phi)
+            membership = lhv_membership(behavior)
+            assert membership.feasible == solve_phase1(*membership_system(behavior)).feasible
+            decided += membership.iterations == 0
+        assert 100 < decided < 250
+
     def test_failing_certificate_raises(self, monkeypatch):
+        # Non-local, but by less than the lifting threshold: the simplex decides.
+        behavior = optimum_mixed_to_excess(FEASIBILITY_TOL + bell._LIFTING_MARGIN / 2)
+        assert lhv_membership(behavior).iterations > 0
         real_solve = bell.solve_phase1
+        for fault in CERTIFICATE_FAULTS:
 
-        def negated(A, b, **kwargs):
-            result = real_solve(A, b, **kwargs)
-            return dataclasses.replace(result, certificate=-result.certificate)
+            def tampered(A, b, **kwargs):
+                result = real_solve(A, b, **kwargs)
+                return dataclasses.replace(
+                    result, certificate=faulted(fault, result.certificate, behavior)
+                )
 
-        monkeypatch.setattr(bell, "solve_phase1", negated)
-        with pytest.raises(RuntimeError, match="Farkas certificate fails"):
-            lhv_membership(optimum_behavior())
+            monkeypatch.setattr(bell, "solve_phase1", tampered)
+            with pytest.raises(RuntimeError, match="Farkas certificate fails"):
+                lhv_membership(behavior)
+
+    def test_failing_lifting_certificate_raises(self, monkeypatch):
+        behavior = optimum_behavior()
+        y = lhv_membership(behavior).certificate
+        k = bell._LIFTING_CERTIFICATES.index(y)
+        for fault in CERTIFICATE_FAULTS:
+            certificates = list(bell._LIFTING_CERTIFICATES)
+            certificates[k] = tuple(faulted(fault, y, behavior))
+            with monkeypatch.context() as patch:
+                patch.setattr(bell, "_LIFTING_CERTIFICATES", tuple(certificates))
+                with pytest.raises(RuntimeError, match="Farkas certificate fails"):
+                    lhv_membership(behavior)
 
     def test_failing_weights_raise(self, monkeypatch):
         real_solve = bell.solve_phase1

@@ -210,6 +210,16 @@ class TestFindMaxViolation:
         assert 0.1 <= opt.r_star <= 0.2
         assert 0.5 <= opt.phi_star <= 1.0
 
+    def test_a_refinement_below_the_coarse_best_raises(self, monkeypatch):
+        def worse(best, *args):
+            return (0.3, 0.0, best[2]), 0
+
+        _, (_, _, _, _, coarse_best) = first_max(sweep(self.GRID))
+        monkeypatch.setattr(explore, "_zoom", worse)
+        named = rf"refined violation -?[0-9.e-]+ .* fell below the coarse best {coarse_best!r}"
+        with pytest.raises(RuntimeError, match=named):
+            find_max_violation(self.GRID)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-9, 0.5])
     def test_rejects_bad_refine_tol(self, tol):
         with pytest.raises(ValueError, match="refine_tol"):

@@ -1,8 +1,8 @@
 """Invariants of the code base itself, rather than of the physics.
 
-* ``dense_oracle`` and ``simplex_reference`` stay independent
-  implementations: they import nothing from ``mzpair``, and no module of the
-  package imports them.
+* ``dense_oracle``, ``facet_oracle`` and ``simplex_reference`` stay
+  independent implementations: they import nothing from ``mzpair``, and no
+  module of the package imports them.
 * Correctness checks raise explicitly, so they survive ``python -O``.
 * The package exports a fixed list of names; ``mzpair.__all__`` is built
   from its imports, so an export can otherwise change without a diff here.
@@ -36,7 +36,7 @@ def imported_modules(path):
     return names
 
 
-REFERENCES = ("dense_oracle", "simplex_reference")
+REFERENCES = ("dense_oracle", "facet_oracle", "simplex_reference")
 
 
 def assert_independent(reference):
@@ -47,6 +47,10 @@ def assert_independent(reference):
 
 def test_dense_oracle_imports_nothing_from_the_package():
     assert_independent("dense_oracle")
+
+
+def test_facet_oracle_imports_nothing_from_the_package():
+    assert_independent("facet_oracle")
 
 
 def test_simplex_reference_imports_nothing_from_the_package():
@@ -85,12 +89,38 @@ def perturbed(A, b, **kwargs):
     return dataclasses.replace(result, x=result.x + 1e-6)
 
 
+# The optimum is decided by a lifting.  Mixed with a strategy on which that
+# lifting is tight, to an excess between tol and the lifting threshold, it
+# is decided by the simplex.
+optimum = bell.behavior_from_phase_setup(BeamSplitterParams.from_r(0.5830902), math.pi)
+y = bell.lhv_membership(optimum).certificate
+k = bell._LIFTING_CERTIFICATES.index(y)
+w = np.array(y[:-1])
+tight = next(
+    s.behavior().cells for s in bell.enumerate_deterministic_strategies()
+    if w @ s.behavior().cells == 2.0
+)
+share = (bell.FEASIBILITY_TOL + bell._LIFTING_MARGIN / 2) / (w @ optimum.cells - 2.0)
+cells = share * optimum.cells + (1.0 - share) * tight
+mixed = bell.BehaviorTable.from_tables(
+    {s: {o: p for (t, o), p in zip(bell.CELLS, cells) if t == s} for s in bell.SETTINGS}
+)
+
 bell.solve_phase1 = negated
-behavior = bell.behavior_from_phase_setup(BeamSplitterParams.from_r(0.5830902), math.pi)
 try:
-    bell.lhv_membership(behavior)
+    bell.lhv_membership(mixed)
 except RuntimeError:
     print("certificate checked")
+bell.solve_phase1 = real_solve
+
+real_certificates = bell._LIFTING_CERTIFICATES
+loosened = y[:-1] + (y[-1] + 0.5,)  # y.b > 0 but max(y.A) = 0.5
+bell._LIFTING_CERTIFICATES = real_certificates[:k] + (loosened,) + real_certificates[k + 1 :]
+try:
+    bell.lhv_membership(optimum)
+except RuntimeError:
+    print("lifting checked")
+bell._LIFTING_CERTIFICATES = real_certificates
 
 bell.solve_phase1 = perturbed
 behavior = bell.behavior_from_phase_setup(BeamSplitterParams.from_r(0.3), 0.0)
@@ -113,6 +143,7 @@ def test_checks_survive_optimized_mode():
     assert result.stdout.split("\n") == [
         "middle terms checked",
         "certificate checked",
+        "lifting checked",
         "weights checked",
         "",
     ]

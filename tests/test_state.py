@@ -310,6 +310,17 @@ class TestMeasure:
         assert abs(dist.prob("C") - 0.5) <= ATOL
         assert abs(dist.prob("exploded") - 0.5) <= ATOL
 
+    @pytest.mark.parametrize("drift, raises", [(1e-9, True), (-1e-9, True), (1e-13, False)])
+    def test_norm_drift_is_checked_to_norm_tol(self, drift, raises):
+        # 1e-9 lies far above NORM_TOL (1e-12) but below any loose bound
+        # such as 1e-6; 1e-13 lies within it.
+        state = JointState.of({(C, D): math.sqrt(0.5), (D, C): math.sqrt(0.5 + drift)})
+        if raises:
+            with pytest.raises(ValueError, match=r"probabilities sum to .* in row 0"):
+                measure(state)
+        else:
+            assert abs(measure(state).probs.sum() - 1.0) <= 2e-13
+
     def test_unlisted_outcome_reads_zero(self):
         readout = measure(JointState.of({(C, C): 1.0}))
         assert readout.keys == ((C, C),)
