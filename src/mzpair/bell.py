@@ -98,7 +98,7 @@ _SHIFTS = np.array(
         for letter in side_outcomes(own)
     ]
 )
-# The row block of each cell's setting in a PairBatch.phase_settings readout.
+# The row block of each cell's setting in a run_pair readout, which is placement-major.
 _CELL_SETTING = np.array([SETTINGS.index(setting) for setting in _SETTING_OF])
 # p(U1,U2), p(U1,!C2), p(!C1,U2), p(C1,C2); !C is {D} on a side whose detector is absent.
 _TERM_CELLS = [
@@ -113,7 +113,7 @@ _TERM_CELLS = [
 def _plan(keys: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Each cell's key in a readout listing ``keys``, and per key the settings that cannot hold it.
 
-    A :meth:`PairBatch.phase_settings` readout lists the key of every cell.
+    A :func:`run_pair` readout of phase-coupled runs lists the key of every cell.
     """
     cells = np.array([keys.index(OUTCOME_KEYS[outcome]) for _, outcome in CELLS])
     stray = np.ones((len(keys), len(SETTINGS)), dtype=bool)
@@ -122,7 +122,7 @@ def _plan(keys: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def behavior_cells(readout: Readout) -> np.ndarray:
-    """Canonical cells of a :meth:`PairBatch.phase_settings` readout, one column per phase."""
+    """Canonical cells of a :func:`run_pair` readout of phase-coupled runs, one column per run."""
     blocks = readout.probs.reshape(len(readout.keys), len(SETTINGS), -1)
     return blocks[_plan(readout.keys)[0], _CELL_SETTING]
 

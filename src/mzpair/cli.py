@@ -26,6 +26,7 @@ from .bell import (
     side_outcomes,
 )
 from .experiments import (
+    SETTINGS,
     GravityParams,
     PairBatch,
     ev_retest_efficiency,
@@ -35,6 +36,7 @@ from .experiments import (
 )
 from .explore import (
     DEFAULT_GRID,
+    MAX_STEPS,
     SweepGrid,
     find_max_violation,
     find_max_violation_at_phi,
@@ -152,9 +154,9 @@ def _pair_outputs(dist, placed: tuple[bool, bool], suffixes: tuple[str, str]) ->
 
 def cmd_annihilation(args: argparse.Namespace) -> int:
     bs = BeamSplitterParams.from_r(args.r)
-    batch = PairBatch.of(bs, annihilate=True, u1=args.place_u_plus, u2=args.place_u_minus)
-    dist = run_pair(batch).row(0)
-    outputs = _pair_outputs(dist, (args.place_u_plus, args.place_u_minus), ("plus", "minus"))
+    placed = (args.place_u_plus, args.place_u_minus)
+    dist = run_pair(PairBatch.of(bs, annihilate=True)).row(SETTINGS.index(placed))
+    outputs = _pair_outputs(dist, placed, ("plus", "minus"))
     outputs["joint"]["p_gamma"] = dist.prob("gamma")
     inputs = {
         "r": args.r,
@@ -168,14 +170,15 @@ def cmd_annihilation(args: argparse.Namespace) -> int:
 def cmd_phase(args: argparse.Namespace) -> int:
     bs = BeamSplitterParams.from_r(args.r)
     phi = _angle(args.phi, args.degrees)
-    dist = run_pair(PairBatch.of(bs, phi=phi, u1=args.place_u1, u2=args.place_u2)).row(0)
+    placed = (args.place_u1, args.place_u2)
+    dist = run_pair(PairBatch.of(bs, phi=phi)).row(SETTINGS.index(placed))
     inputs = {
         "r": args.r,
         "phi": phi,
         "place_u1": args.place_u1,
         "place_u2": args.place_u2,
     }
-    _emit("phase", inputs, _pair_outputs(dist, (args.place_u1, args.place_u2), ("1", "2")))
+    _emit("phase", inputs, _pair_outputs(dist, placed, ("1", "2")))
     return EXIT_OK
 
 
@@ -346,10 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[degrees], help="grid sweep written as CSV")
     p.add_argument("--r-min", type=float, default=DEFAULT_GRID.r_min)
     p.add_argument("--r-max", type=float, default=DEFAULT_GRID.r_max)
-    p.add_argument("--r-steps", type=int, default=DEFAULT_GRID.r_steps)
+    steps = f"values on the axis, 2 to {MAX_STEPS}"
+    p.add_argument("--r-steps", type=int, default=DEFAULT_GRID.r_steps, help=steps)
     p.add_argument("--phi-min", type=float, default=None, help="default 0")
     p.add_argument("--phi-max", type=float, default=None, help="default 2*pi")
-    p.add_argument("--phi-steps", type=int, default=DEFAULT_GRID.phi_steps)
+    p.add_argument("--phi-steps", type=int, default=DEFAULT_GRID.phi_steps, help=steps)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep)
 

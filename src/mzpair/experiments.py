@@ -1,11 +1,12 @@
 """The interferometer setups: single bomb test, annihilation pair, phase pair.
 
 The bomb test runs first splitter, optional bomb, second splitter, readout.
-Twin runs share one pipeline in four steps.  The first splitters and the
-coupling, which come before any in-arm detector, act once per run; their
-state is fanned out to the four detector placements with one gather; the
-second splitters act on every placement; and each row of the batch takes
-its own placement's row.  The closed forms kept alongside (retest
+A twin run is measured under all four in-arm detector placements at once,
+and its result is those four placements: row ``k * runs + j`` of a batch's
+state is run ``j`` under ``SETTINGS[k]``.  The first splitters and the
+coupling, which come before any in-arm detector, act once per run; one
+gather fans their state out to the four placements; and the second
+splitters act on every placement.  The closed forms kept alongside (retest
 efficiency, the joint bright-port amplitude, the gravitational phase) are the
 quantities the rest of the package reasons about.
 """
@@ -54,33 +55,28 @@ HBAR = 1.054571817e-34  # J s (CODATA 2018)
 
 # Detector placements (side 1, side 2); True when the in-arm detector is placed.
 SETTINGS = ((True, True), (True, False), (False, True), (False, False))
-_SETTING_COLUMNS = np.array(SETTINGS).T  # the u1 and u2 masks over SETTINGS
-# _PLACEMENT[2 * u1 + u2] is the index in SETTINGS of the placements (u1, u2).
-_PLACEMENT = np.array([SETTINGS.index((u1, u2)) for u1 in (False, True) for u2 in (False, True)])
+_SETTING_COLUMNS = np.array(SETTINGS).T  # side 1's and side 2's placements over SETTINGS
 
 
 @dataclass(frozen=True, eq=False)
 class PairBatch:
-    """Twin runs under detector placements, as columns.
+    """Twin runs, as columns.
 
     A run is a splitter ratio, a joint phase and a coupling kind: entry
     ``j`` of ``phi`` and ``annihilate``, and of ``bs`` when it holds one
     ratio per run, describes run ``j``.  ``phi`` is zero for runs without a
     phase coupling (a zero phase leaves the amplitudes bit-identical), and
-    ``annihilate`` marks the runs whose ``u`` arms annihilate.  ``u1`` and
-    ``u2`` are boolean masks of the rows with each in-arm detector placed;
-    row ``i`` is run ``i % runs``, so the rows are a positive multiple of
-    the runs.  Columns of other lengths raise ``ValueError``.
+    ``annihilate`` marks the runs whose ``u`` arms annihilate.  Every run is
+    measured under all four detector placements.  Columns of other lengths,
+    or no run, raise ``ValueError``.
     """
 
     bs: BeamSplitterParams
     phi: np.ndarray
     annihilate: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
 
     def __post_init__(self) -> None:
-        runs, rows = len(self.phi), len(self.u1)
+        runs = len(self.phi)
         if np.ndim(self.bs.r) and len(self.bs.r) != runs:
             raise ValueError(
                 f"need one splitter ratio per phase, got {len(self.bs.r)} ratios "
@@ -91,54 +87,33 @@ class PairBatch:
                 f"need one annihilate entry per phase, got {len(self.annihilate)} "
                 f"for {runs} phases"
             )
-        if len(self.u2) != rows:
-            raise ValueError(f"u1 and u2 need one length, got {rows} and {len(self.u2)}")
-        if self.u1.dtype != bool or self.u2.dtype != bool:
-            raise ValueError(f"u1 and u2 must be boolean, got {self.u1.dtype} and {self.u2.dtype}")
-        if not runs or not rows or rows % runs:
-            raise ValueError(
-                f"need a positive multiple of the runs as rows, got {rows} rows for {runs} runs"
-            )
+        if not runs:
+            raise ValueError("need at least one run, got 0")
 
     @property
     def runs(self) -> int:
         return len(self.phi)
 
-    @property
-    def rows(self) -> int:
-        return len(self.u1)
-
     @classmethod
-    def of(
-        cls, bs: BeamSplitterParams, *, phi=0.0, annihilate=False, u1=False, u2=False
-    ) -> "PairBatch":
-        """One run per row, from columns each given as one value for every row or one per row.
+    def of(cls, bs: BeamSplitterParams, *, phi=0.0, annihilate=False) -> "PairBatch":
+        """Runs from columns each given as one value for every run or one per run.
 
-        The batch has as many rows as the per-row arguments, one if there are
-        none; ``bs`` is kept as given.  Per-row arguments of different
+        The batch has as many runs as the per-run arguments, one if there are
+        none; ``bs`` is kept as given.  Per-run arguments of different
         lengths, or empty ones, raise ``ValueError``.
         """
-        (rows,) = np.broadcast_shapes((1,), *map(np.shape, (bs.r, phi, annihilate, u1, u2)))
-        return cls(
-            bs,
-            np.full(rows, phi, dtype=float),
-            np.full(rows, annihilate, dtype=bool),
-            np.full(rows, u1, dtype=bool),
-            np.full(rows, u2, dtype=bool),
-        )
+        (runs,) = np.broadcast_shapes((1,), *map(np.shape, (bs.r, phi, annihilate)))
+        return cls(bs, np.full(runs, phi, dtype=float), np.full(runs, annihilate, dtype=bool))
 
     @classmethod
     def phase_settings(cls, bs: BeamSplitterParams, phis) -> "PairBatch":
-        """One phase-coupled run per phase, under every setting: row
-        ``k * len(phis) + j`` has the placements ``SETTINGS[k]`` and the
-        phase ``phis[j]``.
+        """One phase-coupled run per phase: run ``j`` has the phase ``phis[j]``.
 
         ``bs`` is shared by every run, or holds one ratio per phase; any
         other count of ratios, or no phase, raises ``ValueError``.
         """
         phis = np.array(phis, dtype=float)
-        u1, u2 = np.repeat(_SETTING_COLUMNS, len(phis), axis=1)
-        return cls(bs, phis, np.zeros(len(phis), dtype=bool), u1, u2)
+        return cls(bs, phis, np.zeros(len(phis), dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -203,29 +178,15 @@ def _fan_out(keys: tuple) -> tuple[tuple, np.ndarray]:
     return state.keys, sources
 
 
-@functools.lru_cache(maxsize=64)
-def _selection(runs: int, u1: bytes, u2: bytes) -> np.ndarray:
-    """The fanned-out row each batch row keeps: its run under its own placements.
-
-    Takes the bytes of the boolean ``u1`` and ``u2`` masks, which a scan
-    repeats batch after batch, hence the cache.
-    """
-    u1, u2 = np.frombuffer(u1, dtype=bool), np.frombuffer(u2, dtype=bool)
-    rows = _PLACEMENT.take(2 * u1 + u2) * runs + np.arange(len(u1)) % runs
-    rows.setflags(write=False)
-    return rows
-
-
 def run_pair_state(batch: PairBatch) -> JointState:
-    """Final (pre-readout) joint states of a batch of twin runs.
+    """Final (pre-readout) joint states of a batch of twin runs, four rows per run.
 
     The first splitters and the coupling act once per run.  One gather then
     copies their state to every detector placement, placement-major: row
     ``k * runs + j`` is run ``j`` under ``SETTINGS[k]``.  The second
     splitters act on both sides of every placement, even where an in-arm
     detector is placed (the not-absorbed part of that side still propagates
-    to ``C``/``D``), and each row of the batch then takes its own
-    placement's row.
+    to ``C``/``D``).
     """
     runs = batch.runs
     state = JointState.pair(runs)
@@ -243,13 +204,14 @@ def run_pair_state(batch: PairBatch) -> JointState:
     if np.ndim(bs.r):
         bs = BeamSplitterParams(t=np.tile(bs.t, len(SETTINGS)), r=np.tile(bs.r, len(SETTINGS)))
     state = apply_bs2(state, 0, bs)
-    state = apply_bs2(state, 1, bs)
-    rows = _selection(runs, batch.u1.tobytes(), batch.u2.tobytes())
-    return JointState(state.amps.take(rows, 1), state.keys)
+    return apply_bs2(state, 1, bs)
 
 
 def run_pair(batch: PairBatch) -> Readout:
-    """Run a batch of twin configurations of any coupling kinds and read out."""
+    """Run a batch of twin runs of any coupling kinds and read out, four rows per run.
+
+    Row ``k * runs + j`` is run ``j`` under ``SETTINGS[k]``, as in :func:`run_pair_state`.
+    """
     return measure(run_pair_state(batch))
 
 

@@ -26,6 +26,7 @@ from .state import BeamSplitterParams, PipelineError
 
 __all__ = [
     "SweepGrid",
+    "MAX_STEPS",
     "Optimum",
     "DEFAULT_GRID",
     "sweep",
@@ -58,9 +59,18 @@ ZOOM_SHRINK = 4.0
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, ZOOM_POINTS)
 
 
+# Most steps per grid axis.  An axis is a list of floats, about 32 bytes a
+# step (tracemalloc), so this caps each list near 32 MB; a larger count is
+# rejected before anything is allocated or, for ``sweep``, written.
+MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class SweepGrid:
-    """Inclusive rectangular grid over the splitter ratio and coupling phase."""
+    """Inclusive rectangular grid over the splitter ratio and coupling phase.
+
+    Each axis has from 2 to ``MAX_STEPS`` steps.
+    """
 
     r_min: float
     r_max: float
@@ -82,6 +92,11 @@ class SweepGrid:
             )
         if self.r_steps < 2 or self.phi_steps < 2:
             raise ValueError("need at least 2 steps per axis")
+        if max(self.r_steps, self.phi_steps) > MAX_STEPS:
+            raise ValueError(
+                f"need at most {MAX_STEPS} steps per axis, got {self.r_steps} r steps "
+                f"and {self.phi_steps} phase steps"
+            )
 
     def r_values(self) -> list[float]:
         step = (self.r_max - self.r_min) / (self.r_steps - 1)

@@ -38,7 +38,8 @@ Twin runs (``experiments.run_pair_state``) apply the first splitters and
 the coupling once per run and copy that state to each detector placement
 with one gather.  The gather is planned by running :func:`apply_absorber` on
 a probe state, so the absorber stays the one definition of where absorbed
-amplitude goes; the second splitters then act on every placement's rows.
+amplitude goes; the second splitters then act on every placement's rows,
+and those four rows per run are the result.
 
 All transformations are pure functions returning new states; nothing here
 holds shared mutable state.

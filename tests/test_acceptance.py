@@ -18,6 +18,7 @@ from mzpair.bell import (
     lhv_membership,
 )
 from mzpair.experiments import (
+    SETTINGS,
     PairBatch,
     ev_retest_efficiency,
     run_ev,
@@ -53,11 +54,9 @@ def test_01_ev_dark_port():
 def test_02_annihilation_quadruple():
     start = time.perf_counter()
     bs = BeamSplitterParams.balanced()
-    batch = PairBatch.of(
-        bs, annihilate=True, u1=[False, True, False, True], u2=[False, True, True, False]
-    )
-    dist = run_pair(batch)
-    plain, paired, minus_only, plus_only = (dist.row(k) for k in range(4))
+    dist = run_pair(PairBatch.of(bs, annihilate=True))
+    placements = [(False, False), (True, True), (False, True), (True, False)]
+    plain, paired, minus_only, plus_only = (dist.row(SETTINGS.index(p)) for p in placements)
     worst = max(
         abs(plain.prob(("D", "D")) - 1.0 / 16.0),
         paired.prob(("U", "U")),
@@ -75,8 +74,8 @@ def test_02_annihilation_quadruple():
 def test_03_tuned_phase_point():
     start = time.perf_counter()
     bs = BeamSplitterParams.from_r_squared((2.0 - math.sqrt(2.0)) / 2.0)
-    dist = run_pair(PairBatch.of(bs, phi=math.pi, u1=[False, True], u2=[False, True]))
-    dark, loud = dist.row(0), dist.row(1)
+    dist = run_pair(PairBatch.of(bs, phi=math.pi))
+    dark, loud = dist.row(SETTINGS.index((False, False))), dist.row(SETTINGS.index((True, True)))
     p_cc = dark.prob(("C", "C"))
     p_uu = loud.prob(("U", "U"))
     closed_form = (3.0 - 2.0 * math.sqrt(2.0)) / 2.0
@@ -96,9 +95,10 @@ def test_04_middle_terms_vanish():
     for r in grid.r_values():
         bs = BeamSplitterParams.from_r(r)
         for phi in grid.phi_values():
-            one = run_pair(PairBatch.of(bs, phi=phi, u1=True))
-            two = run_pair(PairBatch.of(bs, phi=phi, u2=True))
-            worst = max(worst, one.row(0).prob(("U", "D")), two.row(0).prob(("D", "U")))
+            dist = run_pair(PairBatch.of(bs, phi=phi))
+            one = dist.row(SETTINGS.index((True, False)))
+            two = dist.row(SETTINGS.index((False, True)))
+            worst = max(worst, one.prob(("U", "D")), two.prob(("D", "U")))
     elapsed = time.perf_counter() - start
     _report(
         "middle terms vanish",

@@ -26,7 +26,7 @@ from mzpair.bell import (
 )
 from mzpair.experiments import PairBatch, run_pair
 from mzpair.simplex import solve_phase1
-from mzpair.state import BeamSplitterParams
+from mzpair.state import BeamSplitterParams, Readout
 
 ATOL = 1e-12
 
@@ -203,8 +203,9 @@ class TestSimulatedBehavior:
         bs = BeamSplitterParams.from_r(0.47)
         phi = 2.2
         behavior = behavior_from_phase_setup(bs, phi)
-        for setting in SETTINGS:
-            direct = run_pair(PairBatch.of(bs, phi=phi, u1=setting[0], u2=setting[1])).row(0)
+        readout = run_pair(PairBatch.of(bs, phi=phi))
+        for k, setting in enumerate(SETTINGS):
+            direct = readout.row(k)
             for side in (0, 1):
                 table = behavior.marginal(side, setting[side], setting[1 - side])
                 raw = direct.marginal(side)
@@ -224,13 +225,14 @@ class TestSimulatedBehavior:
             behavior_from_phase_setup(BeamSplitterParams.from_r(0.47), 2.2)
 
     def test_outcome_outside_its_setting_raises(self, monkeypatch):
-        real = PairBatch.phase_settings
+        def blocks_reversed(batch):
+            # The four placement blocks in reverse order: (U, U) lands under
+            # the setting with neither detector placed.
+            readout = run_pair(batch)
+            rows = np.arange(readout.probs.shape[1]).reshape(len(SETTINGS), -1)[::-1].ravel()
+            return Readout(readout.probs[:, rows], readout.keys)
 
-        def u1_everywhere(bs, phis):
-            batch = real(bs, phis)
-            return dataclasses.replace(batch, u1=np.ones(batch.rows, dtype=bool))
-
-        monkeypatch.setattr(PairBatch, "phase_settings", staticmethod(u1_everywhere))
+        monkeypatch.setattr(bell, "run_pair", blocks_reversed)
         with pytest.raises(ValueError, match="impossible under setting"):
             behavior_from_phase_setup(BeamSplitterParams.from_r(0.47), 2.2)
 

@@ -422,6 +422,23 @@ class TestSweep:
         assert code == 2
         assert out_path.read_bytes() == b"earlier contents\n"
 
+    @pytest.mark.parametrize("axis", ["--r-steps", "--phi-steps"])
+    def test_steps_above_the_ceiling_exit_2_before_allocating(self, capsys, tmp_path, axis):
+        out_path = tmp_path / "grid.csv"
+        argv = ["sweep", axis, str(explore.MAX_STEPS + 1), "--out", str(out_path)]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: need at most {explore.MAX_STEPS} steps per axis")
+        assert not out_path.exists()
+        # An axis of MAX_STEPS floats alone would take about 32 MB.
+        assert peak < 1024 * 1024
+
     def test_failed_scan_keeps_the_rows_written_so_far(self, capsys, tmp_path, monkeypatch):
         real_run_pair = explore.run_pair
 

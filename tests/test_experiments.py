@@ -10,6 +10,7 @@ import pytest
 from mzpair.experiments import (
     GRAVITATIONAL_CONSTANT,
     HBAR,
+    SETTINGS,
     GravityParams,
     PairBatch,
     dark_port_coefficient,
@@ -86,7 +87,7 @@ class TestRetestEfficiency:
 
 class TestAnnihilationPair:
     def _run(self, bs, u1=False, u2=False):
-        return run_pair(PairBatch.of(bs, annihilate=True, u1=u1, u2=u2)).row(0)
+        return run_pair(PairBatch.of(bs, annihilate=True)).row(SETTINGS.index((u1, u2)))
 
     def test_joint_dark_clicks_and_gamma(self):
         rng = random.Random(14)
@@ -125,7 +126,7 @@ class TestAnnihilationPair:
 
 class TestPhasePair:
     def _run(self, bs, phi, u1=False, u2=False):
-        return run_pair(PairBatch.of(bs, phi=phi, u1=u1, u2=u2)).row(0)
+        return run_pair(PairBatch.of(bs, phi=phi)).row(SETTINGS.index((u1, u2)))
 
     def test_zero_phase_is_all_bright(self):
         dist = self._run(BeamSplitterParams.from_r(0.37), 0.0)
@@ -163,7 +164,7 @@ class TestReadoutRows:
     # OutcomeDistribution.marginal adds the outcomes in this order.
     def test_annihilation_with_both_detectors(self):
         bs = BeamSplitterParams.from_r(0.37)
-        dist = run_pair(PairBatch.of(bs, annihilate=True, u1=True, u2=True)).row(0)
+        dist = run_pair(PairBatch.of(bs, annihilate=True)).row(SETTINGS.index((True, True)))
         assert list(dist.probabilities) == [
             ("U", "C"), ("U", "D"),
             ("C", "U"), ("C", "C"), ("C", "D"),
@@ -173,7 +174,7 @@ class TestReadoutRows:
 
     def test_phase_with_the_first_detector(self):
         bs = BeamSplitterParams.from_r(0.37)
-        dist = run_pair(PairBatch.of(bs, phi=1.0, u1=True)).row(0)
+        dist = run_pair(PairBatch.of(bs, phi=1.0)).row(SETTINGS.index((True, False)))
         assert list(dist.probabilities) == [
             ("U", "C"),
             ("C", "C"), ("C", "D"),
@@ -188,7 +189,8 @@ class TestDarkPortCoefficient:
         r, phi = np.array(draws).T
         bs = BeamSplitterParams(t=np.sqrt(1.0 - r * r), r=r)
         state = run_pair_state(PairBatch.of(bs, phi=phi))
-        for amp, (ratio, angle) in zip(state.amplitude((C, C)), draws):
+        absent = SETTINGS.index((False, False)) * len(draws)
+        for amp, (ratio, angle) in zip(state.amplitude((C, C))[absent:], draws):
             expected = dark_port_coefficient(BeamSplitterParams.from_r(ratio), angle)
             assert abs(amp - expected) <= ATOL
 
@@ -201,7 +203,7 @@ class TestDarkPortCoefficient:
     def test_probability_is_squared_magnitude(self):
         bs = BeamSplitterParams.from_r(0.52)
         phi = 2.31
-        dist = run_pair(PairBatch.of(bs, phi=phi)).row(0)
+        dist = run_pair(PairBatch.of(bs, phi=phi)).row(SETTINGS.index((False, False)))
         assert abs(dist.prob(("C", "C")) - abs(dark_port_coefficient(bs, phi)) ** 2) <= ATOL
 
 
@@ -209,30 +211,32 @@ class TestPairBatch:
     BS = BeamSplitterParams.from_r(0.5)
     PER_ROW_BS = BeamSplitterParams(t=np.array([0.8, 0.6, 0.6]), r=np.array([0.6, 0.8, 0.8]))
 
-    # columns are (phi, annihilate, u1, u2); None when PairBatch.of must raise
+    def test_columns_describe_runs_only(self):
+        # Every run is measured under all four placements, so no column names one.
+        assert [field.name for field in dataclasses.fields(PairBatch)] == [
+            "bs",
+            "phi",
+            "annihilate",
+        ]
+
+    # columns are (phi, annihilate); None when PairBatch.of must raise
     @pytest.mark.parametrize(
         "bs, kwargs, columns",
         [
-            pytest.param(BS, {}, ([0.0], [False], [False], [False]), id="all-shared"),
+            pytest.param(BS, {}, ([0.0], [False]), id="all-shared"),
+            pytest.param(
+                BS, {"phi": 1.5, "annihilate": True}, ([1.5], [True]), id="shared-values"
+            ),
+            pytest.param(PER_ROW_BS, {}, ([0.0] * 3, [False] * 3), id="per-row-bs"),
             pytest.param(
                 BS,
-                {"phi": 1.5, "annihilate": True, "u2": True},
-                ([1.5], [True], [False], [True]),
-                id="shared-values",
-            ),
-            pytest.param(
-                PER_ROW_BS,
-                {"u1": True},
-                ([0.0] * 3, [False] * 3, [True] * 3, [False] * 3),
-                id="per-row-bs",
-            ),
-            pytest.param(
-                BS,
-                {"phi": [0.0, 2.0], "u1": [True, False]},
-                ([0.0, 2.0], [False, False], [True, False], [False, False]),
+                {"phi": [0.0, 2.0], "annihilate": True},
+                ([0.0, 2.0], [True, True]),
                 id="per-row-phi",
             ),
-            pytest.param(BS, {"phi": [0.0, 1.0], "u1": [True, False, True]}, None, id="mismatch"),
+            pytest.param(
+                BS, {"phi": [0.0, 1.0], "annihilate": [True, False, True]}, None, id="mismatch"
+            ),
             pytest.param(PER_ROW_BS, {"phi": [0.0, 1.0]}, None, id="bs-mismatch"),
             pytest.param(BS, {"phi": []}, None, id="no-row"),
         ],
@@ -244,8 +248,8 @@ class TestPairBatch:
             return
         batch = PairBatch.of(bs, **kwargs)
         assert batch.bs is bs
-        assert batch.rows == len(columns[0])
-        for name, expected in zip(("phi", "annihilate", "u1", "u2"), columns):
+        assert batch.runs == len(columns[0])
+        for name, expected in zip(("phi", "annihilate"), columns):
             assert getattr(batch, name).tolist() == expected, name
 
     @pytest.mark.parametrize("ratios", [[0.6, 0.8, 0.8], [0.6]], ids=["3-ratios", "1-ratio"])
@@ -256,30 +260,19 @@ class TestPairBatch:
             PairBatch.phase_settings(bs, [0.0, 1.0])
 
     def test_phase_settings_needs_a_phase(self):
-        with pytest.raises(ValueError, match="got 0 rows for 0 runs"):
+        with pytest.raises(ValueError, match="need at least one run, got 0"):
             PairBatch.phase_settings(self.BS, [])
 
-    # changes to a 2-run, 8-row phase_settings batch, and the message each must raise
+    # changes to a 2-run phase_settings batch, and the message each must raise
     @pytest.mark.parametrize(
         "changes, message",
         [
             pytest.param({"bs": PER_ROW_BS}, "got 3 ratios for 2 phases", id="bs"),
             pytest.param({"annihilate": np.zeros(8, bool)}, "got 8 for 2 phases", id="annihilate"),
             pytest.param({"phi": np.zeros(3)}, "got 2 for 3 phases", id="phi"),
-            pytest.param({"u1": np.ones(7, bool)}, "got 7 and 8", id="u1"),
-            pytest.param({"u2": np.ones(9, bool)}, "got 8 and 9", id="u2"),
-            pytest.param({"u1": np.ones(8, np.int64)}, "must be boolean, got int64", id="u1-dtype"),
-            pytest.param(
-                {"u1": np.ones(5, bool), "u2": np.ones(5, bool)}, "got 5 rows for 2 runs", id="rows"
-            ),
-            pytest.param(
-                {"u1": np.ones(0, bool), "u2": np.ones(0, bool)},
-                "got 0 rows for 2 runs",
-                id="no-row",
-            ),
             pytest.param(
                 {"phi": np.zeros(0), "annihilate": np.zeros(0, bool)},
-                "got 8 rows for 0 runs",
+                "need at least one run, got 0",
                 id="no-run",
             ),
         ],
@@ -288,36 +281,32 @@ class TestPairBatch:
         batch = PairBatch.phase_settings(self.BS, [0.0, 1.0])
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(batch, **changes)
-        columns = {name: getattr(batch, name) for name in ("bs", "phi", "annihilate", "u1", "u2")}
+        columns = {name: getattr(batch, name) for name in ("bs", "phi", "annihilate")}
         with pytest.raises(ValueError, match=message):
             PairBatch(**(columns | changes))
 
     def test_rows_repeat_the_runs(self):
-        # Row i is run i % runs, under its own placements, with the bits of
-        # that run alone.
-        rng = np.random.default_rng(41)
+        # Row k * runs + j is run j under SETTINGS[k], with the bits of that
+        # run alone under the same placements.
         r = np.array([0.3, 0.58309, 0.9])
         bs = BeamSplitterParams(t=np.sqrt(1.0 - r * r), r=r)
-        u1, u2 = rng.random((2, 12)) < 0.5
-        batch = PairBatch(bs, np.array([0.0, 2.5, -1.0]), np.array([True, False, True]), u1, u2)
+        batch = PairBatch(bs, np.array([0.0, 2.5, -1.0]), np.array([True, False, True]))
         state = run_pair_state(batch)
         readout = run_pair(batch)
-        for i in range(12):
-            j = i % 3
+        assert state.rows == readout.probs.shape[1] == 4 * 3
+        for j in range(3):
             alone = PairBatch.of(
-                BeamSplitterParams.from_r(r[j]),
-                phi=batch.phi[j],
-                annihilate=batch.annihilate[j],
-                u1=u1[i],
-                u2=u2[i],
+                BeamSplitterParams.from_r(r[j]), phi=batch.phi[j], annihilate=batch.annihilate[j]
             )
             single, single_readout = run_pair_state(alone), run_pair(alone)
-            for key in set(state.keys) | set(single.keys):
-                ours, theirs = state.amplitude(key)[i], single.amplitude(key)[0]
-                assert ours.tobytes() == theirs.tobytes(), (i, key)
-            for outcome in OUTCOME_KEYS:
-                ours, theirs = readout.prob(outcome)[i], single_readout.prob(outcome)[0]
-                assert ours.tobytes() == theirs.tobytes(), (i, outcome)
+            for k in range(len(SETTINGS)):
+                i = k * 3 + j
+                for key in set(state.keys) | set(single.keys):
+                    ours, theirs = state.amplitude(key)[i], single.amplitude(key)[k]
+                    assert ours.tobytes() == theirs.tobytes(), (i, key)
+                for outcome in OUTCOME_KEYS:
+                    ours, theirs = readout.prob(outcome)[i], single_readout.prob(outcome)[k]
+                    assert ours.tobytes() == theirs.tobytes(), (i, outcome)
 
 
 class TestCoupling:

@@ -8,9 +8,10 @@ import pytest
 
 from mzpair import explore
 from mzpair.bell import behavior_from_phase_setup, bell_violation
-from mzpair.experiments import PairBatch, dark_port_coefficient, run_pair
+from mzpair.experiments import SETTINGS, PairBatch, dark_port_coefficient, run_pair
 from mzpair.explore import (
     DEFAULT_GRID,
+    MAX_STEPS,
     MIDDLE_TERM_TOL,
     SweepGrid,
     check_middle_terms,
@@ -70,6 +71,8 @@ class TestSweepGrid:
             (0.1, 0.9, 5, 1.0, 0.5, 3),
             (0.1, 0.9, 5, 0.0, math.inf, 3),
             (0.1, 0.9, 5, 0.0, 1.0, 1),
+            (0.1, 0.9, MAX_STEPS + 1, 0.0, 1.0, 3),
+            (0.1, 0.9, 5, 0.0, 1.0, MAX_STEPS + 1),
         ],
     )
     def test_rejects_bad_bounds(self, args):
@@ -167,7 +170,7 @@ class TestMiddleTermCheck:
         def leaky_refinement(batch):
             readout = real_run_pair(batch)
             if np.ndim(batch.bs.r):
-                points = batch.rows // 4
+                points = batch.runs
                 readout.prob(("U", "D"))[points - 1 :: points] += 1e-9
                 leaked.append((float(batch.bs.r[points - 1]), float(batch.phi[points - 1])))
             return readout
@@ -219,6 +222,22 @@ class TestFindMaxViolation:
         named = rf"refined violation -?[0-9.e-]+ .* fell below the coarse best {coarse_best!r}"
         with pytest.raises(RuntimeError, match=named):
             find_max_violation(self.GRID)
+
+    def test_zoom_keeps_its_centre_on_a_tie(self):
+        # The zoom moves only on a strict improvement: a point of its grid
+        # that ties the best violation leaves the best point where it is.
+        r, phi, r_half, phi_half = 0.5, 3.0, 0.05, 0.1
+        rs = r + r_half * explore._ZOOM_OFFSETS
+        phis = phi + phi_half * explore._ZOOM_OFFSETS
+        _, (r_k, phi_k, _, _, v_k) = first_max(
+            explore._points(np.repeat(rs, len(phis)), np.tile(phis, len(rs)))
+        )
+        assert (r_k, phi_k) != (r, phi)
+        ranges = (explore.R_CLAMP_LO, explore.R_CLAMP_HI), (0.0, 2.0 * math.pi)
+        # A tol below the larger half-width, but not below it shrunk once: one round.
+        best, evals = explore._zoom((r, phi, v_k), r_half, phi_half, *ranges, tol=phi_half / 2)
+        assert best == (r, phi, v_k)
+        assert evals == explore.ZOOM_POINTS**2
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, 0.5])
     def test_rejects_bad_refine_tol(self, tol):
@@ -291,7 +310,7 @@ class TestDarkPortTuning:
         r = find_dark_port_tuning(math.pi)
         bs = BeamSplitterParams.from_r(r)
         assert abs(dark_port_coefficient(bs, math.pi)) ** 2 <= ATOL
-        dist = run_pair(PairBatch.of(bs, phi=math.pi)).row(0)
+        dist = run_pair(PairBatch.of(bs, phi=math.pi)).row(SETTINGS.index((False, False)))
         assert dist.prob(("C", "C")) <= ATOL
 
     def test_odd_half_turns_work_too(self):

@@ -3,7 +3,9 @@
 * ``dense_oracle``, ``facet_oracle`` and ``simplex_reference`` stay
   independent implementations: they import nothing from ``mzpair``, and no
   module of the package imports them.
-* Correctness checks raise explicitly, so they survive ``python -O``.
+* Correctness checks raise explicitly, so they survive ``python -O``: the
+  package holds no ``assert`` statement, and a sample of checks still
+  raises under ``-O``.
 * The package exports a fixed list of names; ``mzpair.__all__`` is built
   from its imports, so an export can otherwise change without a diff here.
 """
@@ -62,6 +64,16 @@ def test_package_never_imports_the_oracle():
     assert sources
     for path in sources:
         assert not set(REFERENCES) & imported_modules(path), path.name
+
+
+def test_package_holds_no_assert_statement():
+    # python -O strips assert statements, so a check written as one would vanish.
+    sources = sorted((SRC / "mzpair").glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts on lines {lines}"
 
 
 OPTIMIZED_CHECKS = """

@@ -100,7 +100,7 @@ def test_thousand_random_pipelines_agree():
 
 
 def random_runs(count, seed):
-    """Twin runs ``(r, kind, phi, u1, u2)`` of mixed ratio, phase, placement and coupling kind.
+    """Twin runs ``(r, kind, phi)`` of mixed ratio, phase and coupling kind.
 
     ``phi`` is 0 unless the kind is ``"phase"``.
     """
@@ -108,47 +108,50 @@ def random_runs(count, seed):
     runs = []
     for _ in range(count):
         kind = rng.choice(("annihilation", "none", "phase"))
-        u1, u2 = rng.choice(SETTINGS)
         r = rng.uniform(0.05, 0.95)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        runs.append((r, kind, phi if kind == "phase" else 0.0, u1, u2))
+        runs.append((r, kind, phi if kind == "phase" else 0.0))
     return runs
 
 
 def pair_batch(runs):
-    """The runs as engine columns: per-row ratios, or one shared ratio for a single run."""
-    r, kind, phi, u1, u2 = (np.array(column) for column in zip(*runs))
+    """The runs as engine columns: per-run ratios, or one shared ratio for a single run."""
+    r, kind, phi = (np.array(column) for column in zip(*runs))
     if len(runs) == 1:
         bs = BeamSplitterParams.from_r(float(r[0]))
     else:
         bs = BeamSplitterParams(t=np.sqrt(1.0 - r * r), r=r)
-    return PairBatch.of(bs, phi=phi, annihilate=kind == "annihilation", u1=u1, u2=u2)
+    return PairBatch.of(bs, phi=phi, annihilate=kind == "annihilation")
 
 
-def dense_plan(run):
-    r, kind, phi, u1, u2 = run
+def dense_plan(run, setting):
+    r, kind, phi = run
     return {
         "kind": "pair",
         "r": r,
         "coupling": kind,
         "phi": phi,
         "absorbers": [
-            (particle, "u", "absorbed") for particle, placed in ((0, u1), (1, u2)) if placed
+            (particle, "u", "absorbed") for particle, placed in enumerate(setting) if placed
         ],
     }
 
 
 def test_mixed_batch_agrees_with_the_oracle_row_by_row():
+    # Every run under every placement: row k * runs + j is run j under SETTINGS[k].
     runs = random_runs(300, 8128)
     batch = pair_batch(runs)
     state = run_pair_state(batch)
     readout = run_pair(batch)
+    assert state.rows == len(SETTINGS) * len(runs)
     worst_amp = worst_prob = 0.0
-    for row, run in enumerate(runs):
-        plan = dense_plan(run)
-        dense = oracle.run_dense_plan(plan)
-        worst_amp = max(worst_amp, max_amplitude_diff(plan, state, dense, row))
-        worst_prob = max(worst_prob, max_probability_diff(readout, dense, row))
+    for k, setting in enumerate(SETTINGS):
+        for j, run in enumerate(runs):
+            plan = dense_plan(run, setting)
+            dense = oracle.run_dense_plan(plan)
+            row = k * len(runs) + j
+            worst_amp = max(worst_amp, max_amplitude_diff(plan, state, dense, row))
+            worst_prob = max(worst_prob, max_probability_diff(readout, dense, row))
     assert worst_amp <= ATOL
     assert worst_prob <= ATOL
     assert np.max(np.abs(state.norm_squared() - 1.0)) <= ATOL
@@ -160,31 +163,33 @@ def test_batch_rows_are_bit_identical_to_batches_of_one():
     runs = random_runs(120, 4099)
     state = run_pair_state(pair_batch(runs))
     readout = run_pair(pair_batch(runs))
-    for row, run in enumerate(runs):
+    for j, run in enumerate(runs):
         alone = run_pair_state(pair_batch([run]))
-        for key in set(state.keys) | set(alone.keys):
-            assert state.amplitude(key)[row].tobytes() == alone.amplitude(key)[0].tobytes(), key
-        assert state.gamma[row].tobytes() == alone.gamma[0].tobytes()
         single = run_pair(pair_batch([run]))
-        for key in set(readout.keys) | set(single.keys):
-            ours, theirs = key_probability(readout, key), key_probability(single, key)
-            assert ours[row].tobytes() == theirs[0].tobytes(), key
-        assert readout.row(row) == single.row(0)
-
+        for k in range(len(SETTINGS)):
+            row = k * len(runs) + j
+            for key in set(state.keys) | set(alone.keys):
+                ours, theirs = state.amplitude(key)[row], alone.amplitude(key)[k]
+                assert ours.tobytes() == theirs.tobytes(), (row, key)
+            assert state.gamma[row].tobytes() == alone.gamma[k].tobytes()
+            for key in set(readout.keys) | set(single.keys):
+                ours, theirs = key_probability(readout, key), key_probability(single, key)
+                assert ours[row].tobytes() == theirs[k].tobytes(), (row, key)
+            assert readout.row(row) == single.row(k)
 
 
 @pytest.mark.parametrize("setting", SETTINGS, ids=["TT", "TF", "FT", "FF"])
 def test_mixed_batch_rows_match_batches_of_one_under_every_placement(setting):
-    # Each run of a batch is fanned out to all four placements and each row
-    # keeps its own, so with every row under one placement each row must
-    # still carry the bits of its run alone.
-    runs = [(r, kind, phi, *setting) for r, kind, phi, _, _ in random_runs(300, 5077)]
+    # Each run of a batch is fanned out to all four placements, so each row
+    # of a placement's block must carry the bits of its run alone under it.
+    runs = random_runs(300, 5077)
     readout = run_pair(pair_batch(runs))
-    for row, run in enumerate(runs):
+    k = SETTINGS.index(setting)
+    for j, run in enumerate(runs):
         single = run_pair(pair_batch([run]))
         for key in set(readout.keys) | set(single.keys):
             ours, theirs = key_probability(readout, key), key_probability(single, key)
-            assert ours[row].tobytes() == theirs[0].tobytes(), (row, key)
+            assert ours[k * len(runs) + j].tobytes() == theirs[k].tobytes(), (j, key)
 
 
 def test_strided_inputs_give_the_bytes_of_contiguous_ones():
@@ -200,15 +205,14 @@ def test_strided_inputs_give_the_bytes_of_contiguous_ones():
 
     r = rng.uniform(0.01, 0.99, 120)
     t = np.sqrt(1.0 - r * r)
-    placed = rng.random((2, 120)) < 0.5
+    annihilate = rng.random(120) < 0.5
 
-    def per_row(pick):
+    def per_run(pick):
         bs = BeamSplitterParams(t=pick(t), r=pick(r))
-        no_annihilation = np.zeros(60, dtype=bool)
-        return PairBatch(bs, pick(phis[:120]), no_annihilation, pick(placed[0]), pick(placed[1]))
+        return PairBatch(bs, pick(phis[:120]), pick(annihilate))
 
-    strided = run_pair(per_row(lambda a: a[::2]))
-    contiguous = run_pair(per_row(lambda a: a[::2].copy()))
+    strided = run_pair(per_run(lambda a: a[::2]))
+    contiguous = run_pair(per_run(lambda a: a[::2].copy()))
     assert strided.keys == contiguous.keys
     assert strided.probs.tobytes() == contiguous.probs.tobytes()
 

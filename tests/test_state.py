@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mzpair.experiments import PairBatch, run_pair, run_pair_state
+from mzpair.experiments import SETTINGS, PairBatch, run_pair, run_pair_state
 from mzpair.explore import R_CLAMP_LO
 from mzpair.state import (
     ABSORBED,
@@ -439,8 +439,14 @@ class TestKeyColumns:
 
 
 def mixed_batches(seed):
-    """A shared-ratio and a per-row-ratio batch of 150 rows each, mixing zero and
-    nonzero phases, annihilation and both in-arm detectors row by row."""
+    """A shared-ratio and a per-run-ratio batch of 150 runs each, mixing zero and
+    nonzero phases and annihilation run by run, each with a drawn detector
+    placement per run.
+
+    Returns ``(batch, rows)`` pairs: ``rows[j]`` is the row ``k * 150 + j`` of
+    the batch's four-placement state that holds run ``j`` under its placement
+    ``SETTINGS[k]``.
+    """
     rng = np.random.default_rng(seed)
     batches = []
     for bs in (BeamSplitterParams.from_r(0.58309), None):
@@ -449,20 +455,24 @@ def mixed_batches(seed):
             bs = BeamSplitterParams(t=np.sqrt(1.0 - r * r), r=r)
         phi = np.where(rng.random(150) < 0.3, 0.0, rng.uniform(-7.0, 7.0, 150))
         annihilate, u1, u2 = rng.random((3, 150)) < 0.4
-        batches.append(PairBatch.of(bs, phi=phi, annihilate=annihilate, u1=u1, u2=u2))
+        placed = np.array([SETTINGS.index(p) for p in zip(u1.tolist(), u2.tolist())])
+        rows = placed * 150 + np.arange(150)
+        batches.append((PairBatch.of(bs, phi=phi, annihilate=annihilate), rows))
     return batches
 
 
-# Digests of the engine's bits on mixed_batches(2024), recorded on the
-# row-major (rows, keys) engine: a change of layout or loop keeps every byte.
+# Digests of the engine's bits on mixed_batches(2024), one placement per run,
+# recorded on the row-major (rows, keys) engine, which ran each row under its
+# own placement alone: a change of layout or loop keeps every byte.
 MIXED_PROBS_SHA256 = "acc9e8a18968aeb605513f0964afa66b85191f71b2c02147f77fd684d227c096"
 MIXED_AMPS_SHA256 = "85cbabd0ac5a83f3036ef703038b0545f588f23d37cbaf05f2a6915c40d8e25a"
 
 
 def test_mixed_batches_keep_their_bits():
     probs, amps = hashlib.sha256(), hashlib.sha256()
-    for batch in mixed_batches(2024):
-        state = run_pair_state(batch)
+    for batch, rows in mixed_batches(2024):
+        every = run_pair_state(batch)
+        state = JointState(every.amps.take(rows, 1), every.keys)
         readout = measure(state)
         for outcome in sorted(OUTCOME_KEYS, key=str):
             probs.update(readout.prob(outcome).tobytes())
