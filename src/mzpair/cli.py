@@ -14,7 +14,7 @@ import dataclasses
 import json
 import math
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -204,9 +204,8 @@ def cmd_bell(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _column_texts(values: np.ndarray) -> list[str]:
-    """``_format_real`` of each finite value, with a Python call only near integers."""
-    texts = list(map(format, values.tolist(), repeat(".12g")))
+def _near_integers(values: np.ndarray) -> np.ndarray:
+    """Where a finite value's ``.12g`` text may lack both "." and "e"."""
     # ``.12g`` text lacks both "." and "e" only in fixed notation without
     # fraction digits, i.e. when x rounded to 12 significant digits is an
     # integer y.  That rounding moves x by at most half a unit in the 12th
@@ -216,34 +215,63 @@ def _column_texts(values: np.ndarray) -> list[str]:
     # factor of 2 for its rounding and cannot underflow when y != 0, since
     # then |x| > 0.5; y = 0 only at x = +-0.0, where both sides are 0 (so
     # -0.0 goes through _format_real's collapse too).
-    near = np.abs(values - np.round(values)) <= 1e-11 * np.abs(values)
-    for k in np.flatnonzero(near).tolist():
+    return np.abs(values - np.round(values)) <= 1e-11 * np.abs(values)
+
+
+def _column_texts(values: np.ndarray) -> list[str]:
+    """``_format_real`` of each finite value, with a Python call only near integers."""
+    texts = list(map(format, values.tolist(), repeat(".12g")))
+    for k in np.flatnonzero(_near_integers(values)).tolist():
         texts[k] = _format_real(float(values[k]))
     return texts
+
+
+def _field(values: np.ndarray) -> tuple[str, list | None]:
+    """A row-template field giving ``_format_real`` of each of ``values``, and its arguments.
+
+    A column whose values all equal its first is embedded as that one text
+    (``_format_real`` renders equal floats, +-0.0 included, alike); a column
+    with no near-integer value is a ``%.12g`` field, which converts as
+    ``format(x, ".12g")`` does; any other column is a ``%s`` field of its texts.
+    """
+    if (values == values[0]).all():
+        return _format_real(float(values[0])), None
+    if _near_integers(values).any():
+        return "%s", _column_texts(values)
+    return "%.12g", values.tolist()
 
 
 def _written(handle, blocks):
     """Pass sweep ``blocks`` on, each after its CSV rows are written to ``handle``.
 
     A block's rows go out as one string, with the bytes ``_format_real`` gives
-    each value: ``r`` is formatted once per block, each phase block once per
-    sweep (the sweep repeats one grid row's phase blocks, so the cache holds
-    one row), and each probability column with one ``format`` call per value.
-    A non-finite value ends the block's output at the row before it and raises
+    each value, made by one ``%`` over a row template repeated once per row.
+    ``r`` is embedded in the template as its one text; the phase column is a
+    ``%s`` field of texts kept for the last phase block only, so a sweep whose
+    rows are one block formats its phases once and memory stays one block's;
+    each probability column is the field ``_field`` chooses.  A non-finite
+    value ends the block's output at the row before it and raises
     ``_format_real``'s error for it.
     """
-    phi_texts = {}
+    phi_key = phi_texts = None
     for block in blocks:
         r, phis, *terms = block
-        r_text = _format_real(r)
         columns = np.array([phis, *terms], dtype=float)
         finite = np.isfinite(columns).all(axis=0)
         rows = len(finite) if finite.all() else int(finite.argmin())
-        key = tuple(phis[:rows])
-        if key not in phi_texts:
-            phi_texts[key] = _column_texts(columns[0, :rows])
-        cells = zip(repeat(r_text), phi_texts[key], *map(_column_texts, columns[1:, :rows]))
-        handle.write("\n".join([*map(",".join, cells), ""]))
+        r_text = _format_real(r)
+        if rows:
+            key = tuple(phis[:rows])
+            if key != phi_key:
+                phi_key, phi_texts = key, _column_texts(columns[0, :rows])
+            fields, args = [r_text, "%s"], [phi_texts]
+            for values in columns[1:, :rows]:
+                field, fed = _field(values)
+                fields.append(field)
+                if fed is not None:
+                    args.append(fed)
+            template = (",".join(fields) + "\n") * rows
+            handle.write(template % tuple(chain.from_iterable(zip(*args))))
         if rows < len(finite):
             for x in columns[:, rows].tolist():
                 _format_real(x)  # raises at the row's first non-finite value

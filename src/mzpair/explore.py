@@ -59,9 +59,11 @@ ZOOM_SHRINK = 4.0
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, ZOOM_POINTS)
 
 
-# Most steps per grid axis.  An axis is a list of floats, about 32 bytes a
-# step (tracemalloc), so this caps each list near 32 MB; a larger count is
-# rejected before anything is allocated or, for ``sweep``, written.
+# Most steps per grid axis.  ``sweep`` computes its axes a block at a time,
+# but a whole axis from ``r_values()`` or ``phi_values()`` is a list of
+# floats, about 32 bytes a step (tracemalloc), so this caps one near 32 MB;
+# a larger count is rejected before anything is allocated or, for
+# ``sweep``, written.
 MAX_STEPS = 10**6
 
 
@@ -98,13 +100,19 @@ class SweepGrid:
                 f"and {self.phi_steps} phase steps"
             )
 
-    def r_values(self) -> list[float]:
-        step = (self.r_max - self.r_min) / (self.r_steps - 1)
-        return [self.r_min + i * step for i in range(self.r_steps)]
+    def r_values(self, start: int = 0, stop: int | None = None) -> list[float]:
+        """The splitter ratios of steps ``start`` to ``stop`` (default: all)."""
+        return _axis(self.r_min, self.r_max, self.r_steps, start, stop)
 
-    def phi_values(self) -> list[float]:
-        step = (self.phi_max - self.phi_min) / (self.phi_steps - 1)
-        return [self.phi_min + i * step for i in range(self.phi_steps)]
+    def phi_values(self, start: int = 0, stop: int | None = None) -> list[float]:
+        """The phases of steps ``start`` to ``stop`` (default: all)."""
+        return _axis(self.phi_min, self.phi_max, self.phi_steps, start, stop)
+
+
+def _axis(lo: float, hi: float, steps: int, start: int, stop: int | None) -> list[float]:
+    """Values ``lo + i * step`` of an inclusive axis for ``start <= i < min(stop, steps)``."""
+    step = (hi - lo) / (steps - 1)
+    return [lo + i * step for i in range(start, steps if stop is None else min(stop, steps))]
 
 
 DEFAULT_GRID = SweepGrid(
@@ -145,22 +153,33 @@ def violation_at(r: float, phi: float) -> float:
     return float(violation[0])
 
 
-def _scan(r_values: list[float], phis: list[float]):
-    """Yield ``(r, phis, p_u1u2, p_c1c2, violation)`` blocks in row-major order."""
+def _scan(r_values, grid: SweepGrid):
+    """Yield ``(r, phis, p_u1u2, p_c1c2, violation)`` blocks in row-major order.
+
+    Each ``r`` of ``r_values`` meets the grid's phases in blocks of at most
+    ``SCAN_BLOCK``, each computed from its step indices when it is needed.
+    The last block's list is kept, so a row of one block computes it once.
+    """
+    block = SCAN_BLOCK
+    at = phis = None
     for r in r_values:
         bs = BeamSplitterParams.from_r(r)
-        for start in range(0, len(phis), SCAN_BLOCK):
-            block = phis[start : start + SCAN_BLOCK]
-            yield (r, block, *_terms(bs, block))
+        for start in range(0, grid.phi_steps, block):
+            if start != at:
+                at, phis = start, grid.phi_values(start, start + block)
+            yield (r, phis, *_terms(bs, phis))
 
 
 def sweep(grid: SweepGrid):
     """Yield the grid's ``(r, phis, p_u1u2, p_c1c2, violation)`` blocks row-major.
 
     Each block is one splitter ratio, a list of at most ``SCAN_BLOCK``
-    phases (phi inner) and one array entry per phase.
+    phases (phi inner) and one array entry per phase.  Both axes are
+    computed a block at a time, so memory does not grow with the grid.
     """
-    yield from _scan(grid.r_values(), grid.phi_values())
+    block = SCAN_BLOCK
+    starts = range(0, grid.r_steps, block)
+    yield from _scan((r for i in starts for r in grid.r_values(i, i + block)), grid)
 
 
 def _points(rs: np.ndarray, phis: np.ndarray):
@@ -251,7 +270,7 @@ def find_max_violation(grid: SweepGrid | None = None, refine_tol: float = 1e-8) 
             f"no grid row in [{grid.r_min!r}, {grid.r_max!r}] lies inside the "
             f"searchable range [{R_CLAMP_LO!r}, {R_CLAMP_HI!r}]"
         )
-    evals, (best_r, best_phi, _, _, best_v) = first_max(_scan(r_grid, grid.phi_values()))
+    evals, (best_r, best_phi, _, _, best_v) = first_max(_scan(r_grid, grid))
 
     r_step = (grid.r_max - grid.r_min) / (grid.r_steps - 1)
     phi_step = (grid.phi_max - grid.phi_min) / (grid.phi_steps - 1)

@@ -204,7 +204,10 @@ class JointState:
 
     @classmethod
     def of(cls, amplitudes: dict[Key, complex]) -> "JointState":
-        """A batch of one from an explicit amplitude map (pruned)."""
+        """A batch of one from an explicit amplitude map (pruned); non-finite amplitudes raise."""
+        for key, v in amplitudes.items():
+            if not np.isfinite(v):  # a NaN would fail the prune test and vanish
+                raise ValueError(f"non-finite amplitude {v!r} for key {key!r}")
         return cls._from(1, amplitudes)
 
     @property
@@ -242,6 +245,8 @@ class OutcomeDistribution:
     def of(cls, probabilities: dict[Outcome, float]) -> "OutcomeDistribution":
         cleaned: dict[Outcome, float] = {}
         for outcome, p in probabilities.items():
+            if not math.isfinite(p):
+                raise ValueError(f"non-finite probability {p!r} for outcome {outcome!r}")
             if p < -1e-15:
                 raise ValueError(f"negative probability {p!r} for outcome {outcome!r}")
             cleaned[outcome] = max(p, 0.0)

@@ -1,7 +1,9 @@
 """Tests for sweeps, the refinement search, and dark-port tuning."""
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +59,8 @@ class TestSweepGrid:
         assert len(phis) == 3
         assert phis[0] == 0.0
         assert abs(phis[1] - 0.5) <= ATOL
+        assert grid.r_values(1, 3) == rs[1:3]
+        assert grid.r_values(3, 99) == rs[3:]
 
     def test_default_grid(self):
         assert DEFAULT_GRID == SweepGrid(0.05, 0.95, 200, 0.0, 2.0 * math.pi, 200)
@@ -98,6 +102,24 @@ class TestSweep:
         for i, (r, phi, *_) in enumerate(cells):
             assert r == rs[i // 5]
             assert phi == phis[i % 5]
+
+    @pytest.mark.parametrize("steps", [(2, MAX_STEPS), (MAX_STEPS, 2)])
+    def test_first_blocks_at_the_step_ceiling_take_little_memory(self, steps):
+        grid = SweepGrid(0.1, 0.9, steps[0], 0.0, 1.0, steps[1])
+        tracemalloc.start()
+        try:
+            blocks = list(itertools.islice(sweep(grid), 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = explore.SCAN_BLOCK
+        if steps[1] == MAX_STEPS:
+            expected = [grid.phi_values(i, i + n) for i in (0, n, 2 * n)]
+            assert [block[1] for block in blocks] == expected
+        else:
+            assert [block[0] for block in blocks] == grid.r_values(0, 3)
+        # A whole axis of MAX_STEPS floats alone would take about 32 MB.
+        assert peak < 2 * 1024 * 1024
 
     def test_cells_match_closed_forms(self):
         for r, phi, p_u1u2, p_c1c2, violation in sweep_cells(self.GRID):

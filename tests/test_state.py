@@ -388,6 +388,11 @@ class TestOutcomeDistribution:
         dist = OutcomeDistribution.of({"C": 1.0, "D": -5e-16})
         assert dist.prob("D") == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite probability .* for outcome 'D'"):
+            OutcomeDistribution.of({"C": 1.0, "D": bad})
+
 
 def test_prune_drops_tiny_amplitudes():
     state = JointState.of({(C, NONE): 1.0, (D, NONE): 1e-16})
@@ -427,6 +432,14 @@ class TestKeyColumns:
             assert len(state.keys) <= 9
             assert len(set(state.keys)) == len(state.keys)
         assert np.max(np.abs(state.norm_squared() - 1.0)) <= ATOL
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(0.0, math.inf)]
+    )
+    def test_non_finite_amplitude_rejected(self, bad):
+        # NaN fails the prune test, so it used to be dropped silently.
+        with pytest.raises(ValueError, match=r"non-finite amplitude .* for key \('c', 'c'\)"):
+            JointState.of({(C, D): 1.0, (C, C): bad})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown keys"):

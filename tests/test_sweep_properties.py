@@ -9,6 +9,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -97,9 +98,11 @@ def test_first_max_keeps_the_first_of_equal_maxima(rows):
 # Floats whose .12g text lacks a decimal marker, or nearly does: zeros, +-1,
 # integers up to 1e13 and values 1 ulp or a few 1e-12 relative from one,
 # 12-digit rounding boundaries, subnormals, and the extremes.
-ADVERSARIAL = [0.0, -0.0, 1.0, -1.0, 0.9999999999995, 0.99999999999995, 999999999999.5,
-               5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]  # fmt: skip
+NEAR_INTEGERS = [0.0, -0.0, 1.0, -1.0, 0.9999999999995, 0.99999999999995, 999999999999.5]
+ADVERSARIAL = NEAR_INTEGERS + [5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]
 integers = st.integers(-(10**13), 10**13)
+near_integers = st.one_of(st.sampled_from(NEAR_INTEGERS), integers.map(float))
+ordinary_reals = st.floats(-0.999, 0.999).filter(bool)
 finite_reals = st.one_of(
     st.sampled_from(ADVERSARIAL),
     integers.map(float),
@@ -117,16 +120,34 @@ finite_reals = st.one_of(
 
 
 @st.composite
+def csv_columns(draw, n):
+    """``n`` values: any finite reals, one value repeated (0.0 and -0.0 mixed
+    when it is zero), or values below 1 in magnitude, none of them zero, with
+    or without one near-integer among them."""
+    kind = draw(st.sampled_from(["any", "constant", "ordinary", "one near-integer"]))
+    if kind == "any":
+        return draw(st.lists(finite_reals, min_size=n, max_size=n))
+    if kind == "constant":
+        value = draw(st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), finite_reals))
+        if value == 0.0:
+            return draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+        return [value] * n
+    values = draw(st.lists(ordinary_reals, min_size=n, max_size=n))
+    if kind == "one near-integer":
+        values[draw(st.integers(0, n - 1))] = draw(near_integers)
+    return values
+
+
+@st.composite
 def csv_blocks(draw):
-    """Sweep-like blocks ``(r, phis, p_u1u2, p_c1c2, violation)``; the phase
-    lists repeat across blocks, as a sweep's rows do, or not."""
-    phis = st.lists(finite_reals, min_size=1, max_size=5)
+    """Sweep-like blocks ``(r, phis, p_u1u2, p_c1c2, violation)`` of up to 12
+    rows; the phase lists repeat across blocks, as a sweep's rows do, or not."""
+    phis = st.integers(1, 12).flatmap(csv_columns)
     phi_lists = draw(st.lists(phis, min_size=1, max_size=2))
     blocks = []
     for _ in range(draw(st.integers(1, 3))):
         phis = draw(st.sampled_from(phi_lists))
-        n = 3 * len(phis)
-        terms = np.array(draw(st.lists(finite_reals, min_size=n, max_size=n))).reshape(3, -1)
+        terms = [np.array(draw(csv_columns(len(phis)))) for _ in range(3)]
         blocks.append((draw(finite_reals), list(phis), *terms))
     return blocks
 
@@ -169,3 +190,25 @@ def test_block_writer_stops_at_the_first_non_finite_value(blocks, data, bad):
     assert str(raised.value) == str(expected.value)
     kept = csv_rows([*before, (r, phis[:row], *(term[:row] for term in terms))])
     assert handle.getvalue() == "".join(kept)
+
+
+def test_block_writer_memory_stays_flat_over_distinct_phase_blocks():
+    def blocks(count):
+        for i in range(count):
+            phis = [i + k / 256 for k in range(200)]  # no two blocks alike
+            terms = np.sin(phis)
+            yield (0.5, phis, terms, terms * terms, terms - 0.25)
+
+    def peak(count):
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            try:
+                for _ in _written(sink, blocks(count)):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak(2)
+    # Keeping every block's phase texts would hold about 20 kB more per block.
+    assert peak(150) - peak(15) < 64 * 1024
