@@ -36,7 +36,7 @@ import numpy as np
 
 from .experiments import SETTINGS, PairBatch, run_pair
 from .simplex import solve_phase1
-from .state import OUTCOME_KEYS, BeamSplitterParams, Readout
+from .state import GAMMA, OUTCOME_KEYS, BeamSplitterParams, Readout
 
 __all__ = [
     "SETTINGS",
@@ -100,6 +100,16 @@ _SHIFTS = np.array(
 )
 # The row block of each cell's setting in a run_pair readout, which is placement-major.
 _CELL_SETTING = np.array([SETTINGS.index(setting) for setting in _SETTING_OF])
+# Every setting block's total and every marginal shift, as one product with
+# the cells; _CHECKS @ cells - _TARGETS is zero for a valid behavior.
+_CHECKS = np.vstack([[[float(s == setting) for s in _SETTING_OF] for setting in SETTINGS], _SHIFTS])
+_TARGETS = np.array([1.0] * len(SETTINGS) + [0.0] * len(_SHIFTS))
+# How close to zero every entry of that difference must be for a behavior to
+# pass with no itemized check.  A block total or shift sums at most 25 cells
+# of a table whose totals are near 1, so the product's sums and the itemized
+# checks' own sums differ by under 1e-14: half the smaller tolerance leaves
+# every behavior passed here inside both tolerances.
+_CLEAR = TABLE_NORM_TOL / 2
 # p(U1,U2), p(U1,!C2), p(!C1,U2), p(C1,C2); !C is {D} on a side whose detector is absent.
 _TERM_CELLS = [
     _CELL_INDEX[((True, True), ("U", "U"))],
@@ -111,20 +121,23 @@ _TERM_CELLS = [
 
 @functools.lru_cache(maxsize=64)
 def _plan(keys: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's key in a readout listing ``keys``, and per key the settings that cannot hold it.
+    """The rows of a readout listing ``keys`` that hold each cell, and, ascending, all others.
 
-    A :func:`run_pair` readout of phase-coupled runs lists the key of every cell.
+    Rows are those of ``probs`` split by setting, ``(keys * settings, runs)``:
+    key ``k`` under ``SETTINGS[s]`` is row ``k * len(SETTINGS) + s``.  A
+    :func:`run_pair` readout of phase-coupled runs lists the key of every cell.
     """
-    cells = np.array([keys.index(OUTCOME_KEYS[outcome]) for _, outcome in CELLS])
-    stray = np.ones((len(keys), len(SETTINGS)), dtype=bool)
-    stray[cells, _CELL_SETTING] = False
-    return cells, stray
+    keyed = np.array([keys.index(OUTCOME_KEYS[outcome]) for _, outcome in CELLS])
+    cells = keyed * len(SETTINGS) + _CELL_SETTING
+    stray = np.ones(len(keys) * len(SETTINGS), dtype=bool)
+    stray[cells] = False
+    return cells, np.flatnonzero(stray)
 
 
 def behavior_cells(readout: Readout) -> np.ndarray:
     """Canonical cells of a :func:`run_pair` readout of phase-coupled runs, one column per run."""
-    blocks = readout.probs.reshape(len(readout.keys), len(SETTINGS), -1)
-    return blocks[_plan(readout.keys)[0], _CELL_SETTING]
+    blocks = readout.probs.reshape(len(readout.keys) * len(SETTINGS), -1)
+    return blocks.take(_plan(readout.keys)[0], 0)
 
 
 def inequality_terms(cells: np.ndarray) -> tuple:
@@ -160,6 +173,17 @@ class BehaviorTable:
 
     @classmethod
     def _checked(cls, cells: np.ndarray) -> "BehaviorTable":
+        behavior = cls(np.maximum(cells, 0.0))
+        behavior.cells.setflags(write=False)
+        # Success path: one reduction for the lowest cell (NaN fails it) and
+        # one product for every total and shift, of cells capped at 2 so no
+        # infinity or overflow reaches it (a capped cell fails its total).
+        # Whatever does not pass here is decided, and named, below.
+        capped = np.minimum(behavior.cells, 2.0)
+        if np.minimum.reduce(cells) >= -1e-15 and (
+            np.maximum.reduce(np.abs(_CHECKS @ capped - _TARGETS)) <= _CLEAR
+        ):
+            return behavior
         k = int(np.argmin(np.isfinite(cells)))  # the first non-finite cell, if any
         if not math.isfinite(cells[k]):
             setting, outcome = CELLS[k]
@@ -168,8 +192,6 @@ class BehaviorTable:
         if cells[k] < -1e-15:
             setting, outcome = CELLS[k]
             raise ValueError(f"negative probability {float(cells[k])!r} at {setting}/{outcome}")
-        behavior = cls(np.maximum(cells, 0.0))
-        behavior.cells.setflags(write=False)
         for setting, block in _BLOCKS.items():
             total = sum(behavior.cells[block].tolist())
             if abs(total - 1.0) > TABLE_NORM_TOL:
@@ -200,11 +222,12 @@ class BehaviorTable:
 def behavior_from_phase_setup(bs: BeamSplitterParams, phi: float) -> BehaviorTable:
     """Measure the phase-coupled pair under all four detector placements."""
     readout = run_pair(PairBatch.phase_settings(bs, [phi]))
-    if readout.prob("gamma").any():
+    if GAMMA in readout.keys and readout.prob("gamma").any():
         raise RuntimeError("joint sink 'gamma' cannot occur in the phase setup")
-    stray = np.where(_plan(readout.keys)[1], readout.probs, 0.0)
-    if stray.max() > 1e-15:
-        column, k = np.unravel_index(stray.argmax(), stray.shape)
+    strays = _plan(readout.keys)[1]
+    stray = readout.probs.take(strays)  # one run: probs is (keys, settings), flat = _plan rows
+    if np.maximum.reduce(stray, initial=0.0) > 1e-15:
+        column, k = divmod(int(strays[stray.argmax()]), len(SETTINGS))
         outcome = readout.keys[column]
         raise ValueError(f"outcome {outcome!r} impossible under setting {SETTINGS[k]!r}")
     return BehaviorTable._checked(behavior_cells(readout)[:, 0])
@@ -289,6 +312,9 @@ def _strategy_matrix() -> np.ndarray:
     return A
 
 
+_ONE = np.ones(1)  # the right-hand side of the normalization row
+
+
 def membership_system(behavior: BehaviorTable) -> tuple[np.ndarray, np.ndarray]:
     """Equality system ``A w = b`` whose nonnegative solutions are local models.
 
@@ -298,7 +324,7 @@ def membership_system(behavior: BehaviorTable) -> tuple[np.ndarray, np.ndarray]:
     leftover mass reported as ``infeasibility`` changes.  ``A`` is shared
     and read-only.
     """
-    return _strategy_matrix(), np.append(behavior.cells, 1.0)
+    return _strategy_matrix(), np.concatenate((behavior.cells, _ONE))
 
 
 # The 72 liftings of CHSH (Pironio, J. Math. Phys. 46, 062112 (2005)), each
@@ -396,7 +422,7 @@ def lhv_membership(behavior: BehaviorTable, *, tol: float = FEASIBILITY_TOL) -> 
         result = solve_phase1(A, b, tol=tol)
         if result.feasible:
             weights = result.x
-            residual = float(np.max(np.abs(A @ weights - b)))
+            residual = float(np.maximum.reduce(np.abs(A @ weights - b)))
             if not residual <= tol:
                 raise RuntimeError(f"local-model weights fail: max|A w - b| = {residual!r}")
             return LhvMembership(
@@ -405,7 +431,7 @@ def lhv_membership(behavior: BehaviorTable, *, tol: float = FEASIBILITY_TOL) -> 
         certificate = tuple(result.certificate)
         verdict = LhvMembership(False, None, None, result.objective, certificate, result.iterations)
     y = np.array(verdict.certificate)
-    yb, ya = float(y @ b), float(np.max(y @ A))
+    yb, ya = float(y @ b), float(np.maximum.reduce(y @ A))
     if not (yb > 0.0 and ya <= tol):
         raise RuntimeError(f"Farkas certificate fails: y.b = {yb!r}, max(y.A) = {ya!r}")
     return verdict

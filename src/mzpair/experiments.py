@@ -77,7 +77,7 @@ class PairBatch:
 
     def __post_init__(self) -> None:
         runs = len(self.phi)
-        if np.ndim(self.bs.r) and len(self.bs.r) != runs:
+        if getattr(self.bs.r, "ndim", 0) and len(self.bs.r) != runs:  # np.ndim, unwrapped
             raise ValueError(
                 f"need one splitter ratio per phase, got {len(self.bs.r)} ratios "
                 f"for {runs} phases"
@@ -193,16 +193,16 @@ def run_pair_state(batch: PairBatch) -> JointState:
     state = apply_bs1(state, 0, batch.bs)
     state = apply_bs1(state, 1, batch.bs)
     # A coupling no run has is skipped; applying it would leave the state as is.
-    if batch.phi.any():
+    if np.count_nonzero(batch.phi):
         state = apply_phase_coupling(state, batch.phi)
-    if batch.annihilate.any():
+    if np.count_nonzero(batch.annihilate):
         state = apply_annihilation_coupling(state, batch.annihilate)
     keys, sources = _fan_out(state.keys)
     padded = np.concatenate((np.zeros((1, runs), dtype=complex), state.amps))
     state = JointState(padded.take(sources, 0).reshape(len(keys), -1), keys)
     bs = batch.bs
-    if np.ndim(bs.r):
-        bs = BeamSplitterParams(t=np.tile(bs.t, len(SETTINGS)), r=np.tile(bs.r, len(SETTINGS)))
+    if getattr(bs.r, "ndim", 0):
+        bs = bs.tile(len(SETTINGS))
     state = apply_bs2(state, 0, bs)
     return apply_bs2(state, 1, bs)
 

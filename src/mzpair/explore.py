@@ -99,6 +99,13 @@ class SweepGrid:
                 f"need at most {MAX_STEPS} steps per axis, got {self.r_steps} r steps "
                 f"and {self.phi_steps} phase steps"
             )
+        # The computed ratios, not the bounds, reach the engine, and t falls
+        # as r grows: both ends valid means every ratio is.
+        for r in self.r_values(0, 1) + self.r_values(self.r_steps - 1):
+            try:
+                BeamSplitterParams.from_r(r)
+            except ValueError as exc:
+                raise ValueError(f"grid ratio {r!r} is not a valid splitter: {exc}") from None
 
     def r_values(self, start: int = 0, stop: int | None = None) -> list[float]:
         """The splitter ratios of steps ``start`` to ``stop`` (default: all)."""
@@ -159,6 +166,10 @@ def _scan(r_values, grid: SweepGrid):
     Each ``r`` of ``r_values`` meets the grid's phases in blocks of at most
     ``SCAN_BLOCK``, each computed from its step indices when it is needed.
     The last block's list is kept, so a row of one block computes it once.
+
+    A block shares one splitter ratio, which :func:`_points` does not: on 2
+    CPUs a 200-phase block took 162-175 us against 219-253 us for 200
+    points with their own ratios (timeit, min of 7), so grid scans keep it.
     """
     block = SCAN_BLOCK
     at = phis = None

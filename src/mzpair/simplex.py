@@ -99,7 +99,7 @@ def solve_phase1(
         tableau[leave] /= tableau[leave, enter]
         update = column != 0.0
         update[leave] = False
-        rank1 = np.multiply.outer(column, tableau[leave])
+        rank1 = column[:, None] * tableau[leave]
         np.subtract(tableau, rank1, out=tableau, where=update[:, None])
 
         leaving_var = basis[leave]

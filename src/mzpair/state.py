@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -122,10 +122,16 @@ class BeamSplitterParams:
     splitter uses the same pair with the roles of ``t`` and ``r`` exchanged.
     Both are floats shared by every row of a batch, or arrays with one
     entry per row.
+
+    ``coefficients`` holds the splitter maps as the engine applies them to
+    two-label slots: ``(i r, t)`` takes ``s`` to ``(u, v)``; ``(r, i t)`` and
+    ``(i t, r)`` take ``u`` and ``v`` to ``(c, d)``.  It is one array of
+    shape (3, 2, 1, 1), or (3, 2, 1, rows) for per-row parameters.
     """
 
     t: float | np.ndarray
     r: float | np.ndarray
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t, r = self.t, self.r
@@ -137,6 +143,9 @@ class BeamSplitterParams:
             raise ValueError(
                 f"t^2 + r^2 must equal 1 within {NORM_TOL}, got t={self.t!r}, r={self.r!r}"
             )
+        it = 1j * t
+        coefficients = np.array([1j * r, t, r, it, it, r], dtype=complex).reshape(3, 2, 1, -1)
+        object.__setattr__(self, "coefficients", coefficients)
 
     @classmethod
     def from_r(cls, r: float) -> "BeamSplitterParams":
@@ -154,16 +163,19 @@ class BeamSplitterParams:
     def balanced(cls) -> "BeamSplitterParams":
         return cls.from_r_squared(0.5)
 
-    @functools.cached_property
-    def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The splitter maps as the engine applies them to two-label slots.
+    def tile(self, reps: int) -> "BeamSplitterParams":
+        """These parameters for ``reps`` copies of a batch's rows, as ``np.tile`` repeats them.
 
-        ``(i r, t)`` takes ``s`` to ``(u, v)``; ``(r, i t)`` and ``(i t, r)``
-        take ``u`` and ``v`` to ``(c, d)``.  Each has shape (2, 1, 1), or
-        (2, 1, rows) for per-row parameters.
+        Tiled ratios are the ratios already checked, and the coefficients are
+        tiled from these, so neither is checked or computed again.
         """
-        it = 1j * self.t
-        return _pair(1j * self.r, self.t), _pair(self.r, it), _pair(it, self.r)
+        tiled = object.__new__(BeamSplitterParams)
+        tiled.__dict__.update(
+            t=np.tile(self.t, reps),
+            r=np.tile(self.r, reps),
+            coefficients=np.tile(self.coefficients, reps),
+        )
+        return tiled
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,26 +193,14 @@ class JointState:
     keys: tuple[Key, ...]
 
     @classmethod
-    def _from(cls, rows: int, amplitudes: dict[Key, complex]) -> "JointState":
-        if rows < 1:
-            raise ValueError(f"a state needs at least one row, got {rows}")
-        kept = {key: v for key, v in amplitudes.items() if abs(v) >= PRUNE_THRESHOLD}
-        unknown = kept.keys() - _ALL_KEYS
-        if unknown:
-            raise ValueError(f"unknown keys {sorted(unknown, key=str)!r}")
-        amps = np.empty((len(kept), rows), dtype=complex)
-        amps[:] = np.array(list(kept.values()), dtype=complex)[:, None]
-        return cls(amps, tuple(kept))
-
-    @classmethod
     def single(cls, rows: int = 1) -> "JointState":
         """One particle at the source port, in every row."""
-        return cls._from(rows, {(S, NONE): 1.0})
+        return _at_source(rows, (S, NONE))
 
     @classmethod
     def pair(cls, rows: int = 1) -> "JointState":
         """Two particles, each at its own source port, in every row."""
-        return cls._from(rows, {(S, S): 1.0})
+        return _at_source(rows, (S, S))
 
     @classmethod
     def of(cls, amplitudes: dict[Key, complex]) -> "JointState":
@@ -208,7 +208,11 @@ class JointState:
         for key, v in amplitudes.items():
             if not np.isfinite(v):  # a NaN would fail the prune test and vanish
                 raise ValueError(f"non-finite amplitude {v!r} for key {key!r}")
-        return cls._from(1, amplitudes)
+        kept = {key: v for key, v in amplitudes.items() if abs(v) >= PRUNE_THRESHOLD}
+        unknown = kept.keys() - _ALL_KEYS
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown, key=str)!r}")
+        return cls(np.array(list(kept.values()), dtype=complex).reshape(-1, 1), tuple(kept))
 
     @property
     def rows(self) -> int:
@@ -228,6 +232,20 @@ class JointState:
     def norm_squared(self) -> np.ndarray:
         a = self.amps
         return (a.real * a.real + a.imag * a.imag).sum(axis=0)
+
+
+@functools.lru_cache(maxsize=16)
+def _at_source(rows: int, key: Key) -> JointState:
+    """Amplitude 1 on ``key`` in every row.
+
+    Operations never write to a state they are given, so one read-only
+    state per row count serves every run that starts from it.
+    """
+    if rows < 1:
+        raise ValueError(f"a state needs at least one row, got {rows}")
+    amps = np.ones((1, rows), dtype=complex)
+    amps.setflags(write=False)
+    return JointState(amps, (key,))
 
 
 @dataclass(frozen=True)
@@ -314,12 +332,15 @@ class Readout:
         )
 
 
-_ZERO = np.zeros((), dtype=complex)  # np.where fills from it without a conversion
+# Zero-dimensional operands: numpy takes them without converting a Python scalar.
+_ZERO = np.zeros((), dtype=complex)
+_I = np.array(1j)
+_PRUNE_BELOW = np.array(PRUNE_THRESHOLD)
 
 
 def _prune(amps: np.ndarray) -> np.ndarray:
     """Zero, in place, every amplitude of magnitude below ``PRUNE_THRESHOLD``."""
-    amps[np.abs(amps) < PRUNE_THRESHOLD] = 0.0
+    amps[np.abs(amps) < _PRUNE_BELOW] = 0.0
     return amps
 
 
@@ -385,18 +406,20 @@ class _Route(NamedTuple):
     """Where an operation moves one particle's amplitude from ``sources`` to ``targets``.
 
     ``columns[n]`` are the input columns with the particle on ``sources[n]``,
-    one per partner label that has it.  Partners holding every source come
-    first, ``shared`` of them, and ``whole`` says there are no others.  The
-    moved amplitude is laid out targets-major over the partners;
-    ``merged`` pairs positions in that layout with the input columns that
-    already hold those keys.  The output keys are the ``carried`` input
-    columns, then the sources if the operation leaves them in place, then
-    the targets.  ``strays`` are the input columns the operation cannot act on.
+    one per partner label that has it, and ``gathered`` all of them in that
+    order.  Partners holding every source come first, ``shared`` of them,
+    and ``whole`` says there are no others.  The moved amplitude is laid
+    out targets-major over the partners; ``merged`` pairs positions in that
+    layout with the input columns that already hold those keys.  The output
+    keys are the ``carried`` input columns, then the sources if the
+    operation leaves them in place, then the targets.  ``strays`` are the
+    input columns the operation cannot act on.
     """
 
     keys: tuple[Key, ...]
     carried: np.ndarray
     columns: tuple[np.ndarray, ...]
+    gathered: np.ndarray
     shared: int
     whole: bool
     merged: tuple[np.ndarray, np.ndarray] | None
@@ -433,10 +456,12 @@ def _route(
     leaving = {key for one in moved for key in one} | set(reached)
     carried = [k for k, key in enumerate(keys) if key not in leaving]
     kept = [] if emptied else [key for one in moved for key in one]
+    columns = tuple(np.array([column[key] for key in one], dtype=np.intp) for one in moved)
     return _Route(
         tuple(keys[k] for k in carried) + tuple(kept) + tuple(reached),
         np.array(carried, dtype=np.intp),
-        tuple(np.array([column[key] for key in one], dtype=np.intp) for one in moved),
+        columns,
+        np.concatenate(columns),
         len(shared),
         len(partners) == len(shared),
         tuple(np.array(side, dtype=np.intp) for side in zip(*merged)) if merged else None,
@@ -447,16 +472,18 @@ def _route(
 def _spread(amps: np.ndarray, route: _Route, coefficients) -> np.ndarray:
     """Each source column times its coefficients, summed over sources in order.
 
-    ``amps`` is ``(keys, rows)`` and the result ``(targets, partners, rows)``,
-    so every product runs over a key's contiguous rows; a partner that lacks
-    a source gets no term from it.
+    ``amps`` is ``(keys, rows)``, ``coefficients`` ``(sources, targets, 1,
+    rows)`` and the result ``(targets, partners, rows)``, so every product
+    runs over a key's contiguous rows; a partner that lacks a source gets no
+    term from it.  When every partner holds every source, one gather and
+    one product serve all sources.
     """
-    first = amps.take(route.columns[0], 0) * coefficients[0]
-    if len(coefficients) == 1:
-        return first
-    second = amps.take(route.columns[1], 0) * coefficients[1]
     if route.whole:
-        return first + second
+        gathered = amps.take(route.gathered, 0).reshape(len(coefficients), 1, -1, amps.shape[1])
+        products = gathered * coefficients
+        return products[0] if len(products) == 1 else products[0] + products[1]
+    first = amps.take(route.columns[0], 0) * coefficients[0]
+    second = amps.take(route.columns[1], 0) * coefficients[1]
     n = route.shared
     return np.concatenate((first[:, :n] + second[:, :n], first[:, n:], second[:, n:]), 1)
 
@@ -466,17 +493,14 @@ def _settle(state: JointState, route: _Route, moved: np.ndarray, *kept: np.ndarr
 
     Amplitude a target key already held is added after the amplitude moved there.
     """
-    moved = moved.reshape(-1, state.rows)
+    amps = moved.reshape(-1, state.rows)
     if route.merged is not None:
         at, columns = route.merged
-        moved[at] += state.amps.take(columns, 0)
-    amps = np.concatenate((state.amps.take(route.carried, 0), *kept, _prune(moved)))
+        amps[at] += state.amps.take(columns, 0)
+    _prune(amps)
+    if len(route.carried) or kept:
+        amps = np.concatenate((state.amps.take(route.carried, 0), *kept, amps))
     return JointState(amps, route.keys)
-
-
-def _pair(first, second) -> np.ndarray:
-    """Coefficients for a two-label slot: shape (2, 1, 1), or (2, 1, rows) when per row."""
-    return np.array([first, second], dtype=complex).reshape(2, 1, -1)
 
 
 def apply_bs1(state: JointState, particle: int, params: BeamSplitterParams) -> JointState:
@@ -516,14 +540,15 @@ def apply_phase_coupling(state: JointState, phi: float | np.ndarray) -> JointSta
     message = "phase coupling requires both particles on the internal arms"
     _require(state, _strays(state.keys, _INTERNAL_PAIR), message)
     phi = np.asarray(phi, dtype=float)
-    if not np.isfinite(phi).all():
-        row = np.flatnonzero(~np.isfinite(phi))[0]  # a shared phase reports row 0
+    finite = np.isfinite(phi)
+    if np.count_nonzero(finite) < finite.size:
+        row = np.flatnonzero(~finite)[0]  # a shared phase reports row 0
         value = float(phi.flat[row])
         raise ValueError(f"coupling phase must be finite, got {value!r} in row {row}")
     if (V, V) not in state.keys:
         return JointState(state.amps, state.keys)
     # numpy's complex exp evaluates libm's exp, cos and sin, as cmath.exp does.
-    factor = np.exp(1j * phi)
+    factor = np.exp(_I * phi)
     k = state.keys.index((V, V))
     vv = state.amps[k]
     amps = state.amps.copy()
@@ -531,7 +556,7 @@ def apply_phase_coupling(state: JointState, phi: float | np.ndarray) -> JointSta
     # number, each exact to one rounding per component, so the sum has the
     # bits of the textbook complex product; numpy's own complex product may
     # fuse a multiply-add and change the last bit.
-    amps[k] = _prune(vv * factor.real + vv * (1j * factor.imag))
+    amps[k] = _prune(vv * factor.real + vv * (_I * factor.imag))
     return JointState(amps, state.keys)
 
 
@@ -599,9 +624,9 @@ def measure(state: JointState) -> Readout:
     _require(state, _strays(state.keys, _TERMINAL_INPUT), message)
     squares = np.ascontiguousarray(state.amps).view(np.float64) ** 2
     probs = squares[:, 0::2] + squares[:, 1::2]  # re*re + im*im
-    total = probs.sum(axis=0)
+    total = np.add.reduce(probs, 0)
     drift = np.abs(total - 1.0)
-    if drift.max(initial=0.0) > NORM_TOL:
+    if np.maximum.reduce(drift, initial=0.0) > NORM_TOL:
         row = int(drift.argmax())
         raise ValueError(
             f"probabilities sum to {float(total[row])!r} in row {row}, "

@@ -1,8 +1,10 @@
 """Tests for behaviors, the four-term inequality, and local-model membership."""
 
 import dataclasses
+import hashlib
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from mzpair.bell import (
 )
 from mzpair.experiments import PairBatch, run_pair
 from mzpair.simplex import solve_phase1
-from mzpair.state import BeamSplitterParams, Readout
+from mzpair.state import GAMMA, BeamSplitterParams, Readout
 
 ATOL = 1e-12
 
@@ -146,6 +148,22 @@ class TestBehaviorTable:
         with pytest.raises(ValueError, match=named):
             BehaviorTable.from_tables(tables)
 
+    @pytest.mark.parametrize(
+        "value, named",
+        [
+            (math.inf, r"non-finite probability inf at \(True, True\)/\('U', 'U'\)"),
+            (1e308, r"setting \(True, True\) sums to inf"),
+        ],
+    )
+    def test_rejects_infinite_or_overflowing_cells(self, value, named):
+        # No NaN to cut the checks short, and with warnings as errors an
+        # infinity or overflow reaching any product would fail this too.
+        tables = self._product_tables()
+        tables[(True, True)][("U", "U")] = value
+        tables[(True, True)][("C", "C")] = value
+        with pytest.raises(ValueError, match=named):
+            BehaviorTable.from_tables(tables)
+
     def test_rejects_unnormalized_block(self):
         tables = self._product_tables()
         tables[(True, True)][("C", "C")] += 0.2
@@ -169,6 +187,68 @@ class TestBehaviorTable:
         tables[(True, False)][("U", "C")] -= 1e-6
         tables[(True, False)][("C", "C")] += 1e-6
         with pytest.raises(ValueError, match="no-signaling violated: marginal shift 1"):
+            BehaviorTable.from_tables(tables)
+
+    @pytest.mark.parametrize(
+        "excess, shift, message",
+        [
+            (0.3e-12, 0.0, None),
+            # inside both tolerances, but too close to pass on one product alone
+            (0.6e-12, 5e-10, None),
+            (2e-12, 0.0, "sums to"),
+            (0.0, 2e-9, "no-signaling violated"),
+        ],
+    )
+    def test_tolerances_hold_at_their_edges(self, excess, shift, message):
+        # (True, False) gains ``excess`` and moves ``shift`` of side 1's U to C.
+        tables = self._product_tables()
+        tables[(True, False)][("U", "C")] -= shift
+        tables[(True, False)][("C", "C")] += shift + excess
+        if message is None:
+            behavior = BehaviorTable.from_tables(tables)
+            assert behavior.prob((True, False), ("C", "C")) == tables[(True, False)][("C", "C")]
+        else:
+            with pytest.raises(ValueError, match=message):
+                BehaviorTable.from_tables(tables)
+
+    @pytest.mark.parametrize("value", [-1e-14, -1e-16])
+    def test_small_negative_cells(self, value):
+        # A deterministic table with one empty cell set slightly negative: its
+        # block and marginals stay within tolerance, so only the cell's sign
+        # decides; down to -1e-15 it is read as 0.
+        tables = {s: {("C", "C"): 1.0} for s in SETTINGS}
+        tables[(False, False)][("D", "D")] = value
+        if value < -1e-15:
+            named = r"negative probability -1e-14 at \(False, False\)"
+            with pytest.raises(ValueError, match=named):
+                BehaviorTable.from_tables(tables)
+        else:
+            assert BehaviorTable.from_tables(tables).prob((False, False), ("D", "D")) == 0.0
+
+    def test_names_the_first_negative_cell(self):
+        # The larger negative cell comes later in CELLS order, so it is not named.
+        tables = self._product_tables()
+        tables[(True, True)][("C", "C")] = -0.01
+        tables[(False, False)][("D", "D")] = -0.5
+        named = r"negative probability -0\.01 at \(True, True\)/\('C', 'C'\)"
+        with pytest.raises(ValueError, match=named):
+            BehaviorTable.from_tables(tables)
+
+    def test_names_a_non_finite_cell_before_a_negative_one(self):
+        tables = self._product_tables()
+        tables[(True, True)][("U", "U")] = -0.2
+        tables[(False, False)][("C", "C")] = math.inf
+        named = r"non-finite probability inf at \(False, False\)/\('C', 'C'\)"
+        with pytest.raises(ValueError, match=named):
+            BehaviorTable.from_tables(tables)
+
+    def test_names_the_first_unnormalized_setting(self):
+        # Two blocks are off, which also shifts marginals: the block earlier
+        # in SETTINGS order is named, and before any no-signaling violation.
+        tables = self._product_tables()
+        tables[(False, True)][("C", "C")] += 0.3
+        tables[(True, False)][("C", "C")] += 0.1
+        with pytest.raises(ValueError, match=r"^setting \(True, False\) sums to "):
             BehaviorTable.from_tables(tables)
 
 
@@ -235,6 +315,27 @@ class TestSimulatedBehavior:
         monkeypatch.setattr(bell, "run_pair", blocks_reversed)
         with pytest.raises(ValueError, match="impossible under setting"):
             behavior_from_phase_setup(BeamSplitterParams.from_r(0.47), 2.2)
+
+    @pytest.mark.parametrize("gamma", [1e-20, 0.0])
+    def test_joint_sink_is_reported_before_a_stray_outcome(self, monkeypatch, gamma):
+        # The placement blocks reversed, as above, plus a gamma row: any
+        # nonzero gamma probability, even far below the stray threshold, is
+        # named first; an all-zero one leaves the stray outcome to be named.
+        def reversed_with_gamma(batch):
+            readout = run_pair(batch)
+            rows = np.arange(readout.probs.shape[1]).reshape(len(SETTINGS), -1)[::-1].ravel()
+            probs = np.vstack([readout.probs[:, rows], np.full((1, len(rows)), gamma)])
+            return Readout(probs, readout.keys + (GAMMA,))
+
+        monkeypatch.setattr(bell, "run_pair", reversed_with_gamma)
+        bs = BeamSplitterParams.from_r(0.47)
+        if gamma:
+            with pytest.raises(RuntimeError, match="joint sink 'gamma' cannot occur"):
+                behavior_from_phase_setup(bs, 2.2)
+        else:
+            named = r"^outcome \('c', 'absorbed'\) impossible under setting \(True, False\)$"
+            with pytest.raises(ValueError, match=named):
+                behavior_from_phase_setup(bs, 2.2)
 
     def test_zero_phase_factorizes(self):
         behavior = behavior_from_phase_setup(BeamSplitterParams.from_r(0.44), 0.0)
@@ -458,6 +559,51 @@ class TestLhvMembership:
         behavior = behavior_from_phase_setup(BeamSplitterParams.from_r(0.3), 0.0)
         with pytest.raises(RuntimeError, match=r"local-model weights fail: max\|A w - b\|"):
             lhv_membership(behavior)
+
+
+def bell_points(seed, count):
+    """Points drawn as the bell-points benchmark draws them.
+
+    Half are uniform over the plane, half near the maximal violation at
+    (0.583, pi), so both verdicts and both deciders occur.
+    """
+    rng = random.Random(seed)
+    return [
+        (rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi))
+        if i % 2 == 0
+        else (rng.uniform(0.50, 0.66), rng.uniform(math.pi - 0.5, math.pi + 0.5))
+        for i in range(count)
+    ]
+
+
+def verdict_bytes(verdict):
+    """A verdict as float bytes: flag, pivots, leftover mass, then weights or certificate."""
+    values = [float(verdict.feasible), float(verdict.iterations), verdict.infeasibility]
+    if verdict.feasible:
+        values += [*verdict.weights, verdict.residual]
+    else:
+        values += verdict.certificate
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+# sha256 of the cells and verdict bytes of bell_points(2026, 300), recorded
+# before the one-run engine path and the behavior checks were trimmed: the
+# whole bell path keeps every byte, not only the simplex.
+VERDICTS_SHA256 = "f6ad6a9ef1a8c02f92add01d2aeedf0316e3572f303fcfdd527beaf3cd399c8e"
+
+
+def test_bell_path_keeps_its_bytes():
+    digest = hashlib.sha256()
+    verdicts = set()
+    for r, phi in bell_points(2026, 300):
+        behavior = behavior_from_phase_setup(BeamSplitterParams.from_r(r), phi)
+        verdict = lhv_membership(behavior)
+        verdicts.add((verdict.feasible, verdict.iterations > 0))
+        digest.update(behavior.cells.tobytes())
+        digest.update(verdict_bytes(verdict))
+    # feasible verdicts from the simplex and infeasible ones from a lifting both occur
+    assert {(True, True), (False, False)} <= verdicts
+    assert digest.hexdigest() == VERDICTS_SHA256
 
 
 class TestLogicalInequality:

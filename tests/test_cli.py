@@ -417,10 +417,19 @@ class TestSweep:
     def test_bad_grid_leaves_an_existing_file_alone(self, capsys, tmp_path):
         out_path = tmp_path / "kept.csv"
         out_path.write_bytes(b"earlier contents\n")
-        argv = ["sweep", "--r-min", "0.6", "--r-max", "0.5", "--out", str(out_path)]
-        code, _, _ = run_cli(capsys, argv)
-        assert code == 2
-        assert out_path.read_bytes() == b"earlier contents\n"
+        grids = [
+            ["--r-min", "0.6", "--r-max", "0.5"],
+            # Inside (0, 1), but t rounds to 1 at the first ratio ...
+            ["--r-min", "1e-9"],
+            # ... or the last computed ratio is exactly 1.0.
+            ["--r-min", "0.07826364263456777", "--r-max", "0.9999999999999999", "--r-steps", "325"],
+        ]
+        for bounds in grids:
+            code, out, err = run_cli(capsys, ["sweep", *bounds, "--out", str(out_path)])
+            assert code == 2, bounds
+            assert out == ""
+            assert err.startswith("error: "), err
+            assert out_path.read_bytes() == b"earlier contents\n"
 
     @pytest.mark.parametrize("axis", ["--r-steps", "--phi-steps"])
     def test_steps_above_the_ceiling_exit_2_before_allocating(self, capsys, tmp_path, axis):

@@ -77,6 +77,10 @@ class TestSweepGrid:
             (0.1, 0.9, 5, 0.0, 1.0, 1),
             (0.1, 0.9, MAX_STEPS + 1, 0.0, 1.0, 3),
             (0.1, 0.9, 5, 0.0, 1.0, MAX_STEPS + 1),
+            # Bounds inside (0, 1) whose end ratios are no splitter: t rounds
+            # to 1 at r = 1e-9, and the last computed ratio is exactly 1.0.
+            (1e-9, 0.9, 5, 0.0, 1.0, 3),
+            (0.07826364263456777, 0.9999999999999999, 325, 0.0, 1.0, 3),
         ],
     )
     def test_rejects_bad_bounds(self, args):

@@ -80,7 +80,7 @@ OPTIMIZED_CHECKS = """
 import dataclasses, math
 import numpy as np
 from mzpair import bell, explore
-from mzpair.state import BeamSplitterParams, PipelineError
+from mzpair.state import BeamSplitterParams, JointState, PipelineError, Readout, measure
 
 assert False, "unreachable under -O"
 try:
@@ -140,6 +140,48 @@ try:
     bell.lhv_membership(behavior)
 except RuntimeError:
     print("weights checked")
+bell.solve_phase1 = real_solve
+
+# BehaviorTable's checks, each on the one fault it names: a non-finite cell,
+# a negative cell, a block off 1, and a marginal shifted inside its block.
+U_C, C_C = (bell.CELLS.index(((True, False), o)) for o in [("U", "C"), ("C", "C")])
+for name, message, fault, shift in [
+    ("non-finite", "non-finite probability", 0, math.nan),
+    ("negative", "negative probability", C_C, -1.0),
+    ("normalization", "sums to", C_C, 0.5),
+    ("no-signaling", "no-signaling violated", None, 1e-6),
+]:
+    cells = behavior.cells.copy()
+    if fault is None:  # the block total stays, side 1's marginal moves
+        cells[U_C] -= shift
+        cells[C_C] += shift
+    else:
+        cells[fault] += shift
+    try:
+        bell.BehaviorTable._checked(cells)
+    except ValueError as exc:
+        print(f"{name} checked" if message in str(exc) else f"wrong check: {exc}")
+
+real_run_pair = bell.run_pair
+
+
+def reversed_blocks(batch):
+    readout = real_run_pair(batch)
+    rows = np.arange(readout.probs.shape[1]).reshape(4, -1)[::-1].ravel()
+    return Readout(readout.probs[:, rows], readout.keys)
+
+
+bell.run_pair = reversed_blocks
+try:
+    bell.behavior_from_phase_setup(BeamSplitterParams.from_r(0.47), 2.2)
+except ValueError as exc:
+    print("stray outcome checked" if "impossible" in str(exc) else f"wrong check: {exc}")
+bell.run_pair = real_run_pair
+
+try:
+    measure(JointState(np.array([[1.0], [0.5]], dtype=complex), (("c", "c"), ("d", "d"))))
+except ValueError as exc:
+    print("norm drift checked" if "sum to 1.25" in str(exc) else f"wrong check: {exc}")
 """
 
 
@@ -157,6 +199,12 @@ def test_checks_survive_optimized_mode():
         "certificate checked",
         "lifting checked",
         "weights checked",
+        "non-finite checked",
+        "negative checked",
+        "normalization checked",
+        "no-signaling checked",
+        "stray outcome checked",
+        "norm drift checked",
         "",
     ]
 
