@@ -21,15 +21,12 @@ from .bell import (
     enumerate_deterministic_strategies,
     hardy_constants,
     lhv_membership,
-    logical_inequality,
-    paradox_statement_probs,
 )
 from .experiments import (
     GRAVITATIONAL_CONSTANT,
     HBAR,
     GravityParams,
     PairBatch,
-    dark_port_coefficient,
     ev_retest_efficiency,
     gravity_phase,
     run_ev,
@@ -40,7 +37,6 @@ from .explore import (
     DEFAULT_GRID,
     Optimum,
     SweepGrid,
-    find_dark_port_tuning,
     find_max_violation,
     find_max_violation_at_phi,
     first_max,

@@ -2,7 +2,7 @@
 
 The measured object is a *behavior*: for every combination of in-arm
 detector placements (the settings), the joint probability table over that
-setting's outcomes.  On top of it live three views that must agree:
+setting's outcomes.  On top of it live two views that must agree:
 
 * the four-term inequality  p(U1,U2) - p(U1,!C2) - p(!C1,U2) - p(C1,C2) <= 0,
   satisfied by every local deterministic strategy;
@@ -12,9 +12,7 @@ setting's outcomes.  On top of it live three views that must agree:
   Farkas certificate (``iterations`` 0); any other behavior goes to a small
   phase-1 simplex.  The printed ``lhv_infeasibility`` is the simplex's
   leftover mass either way: a lifting-decided verdict solves for it when
-  it is first read;
-* the counting form: four statements whose probabilities cannot sum past
-  N - 1 if some run makes them all true at once.
+  it is first read.
 
 ``!C`` (not-C) means the event {U, D} when the in-arm detector is placed and
 {D} when it is absent.
@@ -54,8 +52,6 @@ __all__ = [
     "enumerate_deterministic_strategies",
     "membership_system",
     "lhv_membership",
-    "logical_inequality",
-    "paradox_statement_probs",
     "hardy_constants",
     "HardyConstants",
 ]
@@ -194,10 +190,10 @@ class BehaviorTable:
             raise ValueError(f"negative probability {float(cells[k])!r} at {setting}/{outcome}")
         for setting, block in _BLOCKS.items():
             total = sum(behavior.cells[block].tolist())
-            if abs(total - 1.0) > TABLE_NORM_TOL:
+            if not (abs(total - 1.0) <= TABLE_NORM_TOL):
                 raise ValueError(f"setting {setting!r} sums to {total!r}, expected 1")
         residual = behavior.no_signaling_residual()
-        if residual > NO_SIGNALING_TOL:
+        if not (residual <= NO_SIGNALING_TOL):
             raise ValueError(f"no-signaling violated: marginal shift {residual!r}")
         return behavior
 
@@ -226,7 +222,7 @@ def behavior_from_phase_setup(bs: BeamSplitterParams, phi: float) -> BehaviorTab
         raise RuntimeError("joint sink 'gamma' cannot occur in the phase setup")
     strays = _plan(readout.keys)[1]
     stray = readout.probs.take(strays)  # one run: probs is (keys, settings), flat = _plan rows
-    if np.maximum.reduce(stray, initial=0.0) > 1e-15:
+    if not (np.maximum.reduce(stray, initial=0.0) <= 1e-15):  # a NaN fails too
         column, k = divmod(int(strays[stray.argmax()]), len(SETTINGS))
         outcome = readout.keys[column]
         raise ValueError(f"outcome {outcome!r} impossible under setting {SETTINGS[k]!r}")
@@ -435,38 +431,6 @@ def lhv_membership(behavior: BehaviorTable, *, tol: float = FEASIBILITY_TOL) -> 
     if not (yb > 0.0 and ya <= tol):
         raise RuntimeError(f"Farkas certificate fails: y.b = {yb!r}, max(y.A) = {ya!r}")
     return verdict
-
-
-def logical_inequality(probabilities) -> float:
-    """Excess of ``sum(p)`` over ``N - 1`` for N statement probabilities.
-
-    A positive excess means no assignment of truth values to a single run
-    can make all N statements hold, yet the observed frequencies demand it.
-    """
-    probs = [float(p) for p in probabilities]
-    if not probs:
-        raise ValueError("need at least one statement probability")
-    for p in probs:
-        if p < -1e-12 or p > 1.0 + 1e-12:
-            raise ValueError(f"statement probability out of range: {p!r}")
-    return sum(probs) - (len(probs) - 1.0)
-
-
-def paradox_statement_probs(behavior: BehaviorTable) -> list[float]:
-    """Probabilities of the four statements behind the inequality.
-
-    In order: both in-arm detectors fire; side 1 firing never meets not-C on
-    side 2; not-C on side 1 never meets side 2 firing; the two bright ports
-    never fire together.  Their excess over N - 1 equals the inequality
-    violation term for term.
-    """
-    report = bell_violation(behavior, check_lhv=False)
-    return [
-        report.p_u1u2,
-        1.0 - report.p_u1_notc2,
-        1.0 - report.p_notc1_u2,
-        1.0 - report.p_c1c2,
-    ]
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,11 @@ state is run ``j`` under ``SETTINGS[k]``.  The first splitters and the
 coupling, which come before any in-arm detector, act once per run; one
 gather fans their state out to the four placements; and the second
 splitters act on every placement.  The closed forms kept alongside (retest
-efficiency, the joint bright-port amplitude, the gravitational phase) are the
-quantities the rest of the package reasons about.
+efficiency, the gravitational phase) are the quantities the CLI reports.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -46,7 +44,6 @@ __all__ = [
     "ev_retest_efficiency",
     "run_pair_state",
     "run_pair",
-    "dark_port_coefficient",
     "gravity_phase",
 ]
 
@@ -213,18 +210,6 @@ def run_pair(batch: PairBatch) -> Readout:
     Row ``k * runs + j`` is run ``j`` under ``SETTINGS[k]``, as in :func:`run_pair_state`.
     """
     return measure(run_pair_state(batch))
-
-
-def dark_port_coefficient(bs: BeamSplitterParams, phi: float) -> complex:
-    """Closed-form joint bright-port amplitude of the phase-coupled pair.
-
-    With no in-arm detectors the ``(C, C)`` amplitude collapses to
-    ``-(r^4 + 2 r^2 t^2 + t^4 e^{i phi})``; at ``phi = 0`` this is exactly
-    ``-1`` and every other joint outcome is dark.
-    """
-    r_sq = bs.r * bs.r
-    t_sq = bs.t * bs.t
-    return -(r_sq * r_sq + 2.0 * r_sq * t_sq + t_sq * t_sq * cmath.exp(1j * phi))
 
 
 def gravity_phase(params: GravityParams) -> float:

@@ -34,7 +34,6 @@ __all__ = [
     "violation_at",
     "find_max_violation",
     "find_max_violation_at_phi",
-    "find_dark_port_tuning",
 ]
 
 # Hard validity clamp for the splitter ratio during refinement.
@@ -346,30 +345,3 @@ def find_max_violation_at_phi(
     evals += n
     at_boundary = r_star - r_lo <= 2.0 * refine_tol or r_hi - r_star <= 2.0 * refine_tol
     return Optimum(r_star, phi, v_star, evals, at_boundary)
-
-
-def find_dark_port_tuning(phi: float) -> float | None:
-    """Splitter ratio nulling the joint bright-port amplitude, or None.
-
-    The amplitude -(r^4 + 2 r^2 t^2 + t^4 e^{i phi}) has imaginary part
-    proportional to sin(phi), so a true zero needs sin(phi) = 0; and on the
-    cos(phi) = +1 branch the magnitude is identically 1.  Only the opposite
-    branch admits a root, found here by bisection in x = r^2.
-    """
-    if abs(math.sin(phi)) > 1e-12 or math.cos(phi) >= 0.0:
-        return None
-    c = math.cos(phi)  # -1 up to rounding
-
-    def real_amp(x: float) -> float:
-        return x * x + 2.0 * x * (1.0 - x) + (1.0 - x) * (1.0 - x) * c
-
-    lo, hi = 0.0, 0.5  # real_amp(0) = c < 0 < real_amp(0.5)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if real_amp(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16:
-            break
-    return math.sqrt(0.5 * (lo + hi))

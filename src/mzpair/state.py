@@ -153,16 +153,6 @@ class BeamSplitterParams:
             raise ValueError(f"reflection amplitude must lie in (0, 1), got {r!r}")
         return cls(t=math.sqrt(1.0 - r * r), r=r)
 
-    @classmethod
-    def from_r_squared(cls, r_squared: float) -> "BeamSplitterParams":
-        if not 0.0 < r_squared < 1.0:
-            raise ValueError(f"reflectance must lie in (0, 1), got {r_squared!r}")
-        return cls(t=math.sqrt(1.0 - r_squared), r=math.sqrt(r_squared))
-
-    @classmethod
-    def balanced(cls) -> "BeamSplitterParams":
-        return cls.from_r_squared(0.5)
-
     def tile(self, reps: int) -> "BeamSplitterParams":
         """These parameters for ``reps`` copies of a batch's rows, as ``np.tile`` repeats them.
 
@@ -229,10 +219,6 @@ class JointState:
             return self.amps[self.keys.index(key)]
         return np.zeros(self.rows, dtype=complex)
 
-    def norm_squared(self) -> np.ndarray:
-        a = self.amps
-        return (a.real * a.real + a.imag * a.imag).sum(axis=0)
-
 
 @functools.lru_cache(maxsize=16)
 def _at_source(rows: int, key: Key) -> JointState:
@@ -269,15 +255,12 @@ class OutcomeDistribution:
                 raise ValueError(f"negative probability {p!r} for outcome {outcome!r}")
             cleaned[outcome] = max(p, 0.0)
         total = sum(cleaned.values())
-        if abs(total - 1.0) > NORM_TOL:
+        if not (abs(total - 1.0) <= NORM_TOL):
             raise ValueError(f"probabilities sum to {total!r}, expected 1 within {NORM_TOL}")
         return cls(cleaned)
 
     def prob(self, outcome: Outcome) -> float:
         return self.probabilities.get(outcome, 0.0)
-
-    def total(self) -> float:
-        return sum(self.probabilities.values())
 
     def marginal(self, side: int) -> dict[str, float]:
         """Per-side totals over pair outcomes; joint sinks are excluded."""
@@ -560,29 +543,24 @@ def apply_phase_coupling(state: JointState, phi: float | np.ndarray) -> JointSta
     return JointState(amps, state.keys)
 
 
-def apply_annihilation_coupling(
-    state: JointState, rows: np.ndarray | None = None
-) -> JointState:
+def apply_annihilation_coupling(state: JointState, rows: np.ndarray) -> JointState:
     """Move the joint ``(u, u)`` amplitude into the ``gamma`` sink.
 
     ``rows`` is a boolean mask, one entry per row, of the rows the coupling
-    acts on; all by default.
+    acts on; the others keep their ``(u, u)`` amplitude.
     """
     message = "annihilation coupling requires both particles on the internal arms"
     _require(state, _strays(state.keys, _INTERNAL_PAIR), message)
-    acting = np.ones(state.rows, dtype=bool) if rows is None else _mask(state, rows)
+    acting = _mask(state, rows)
     if (U, U) not in state.keys:
         return JointState(state.amps, state.keys)
     uu = state.amplitude((U, U))
     gamma = _prune(state.gamma + np.where(acting, uu, _ZERO))
     carried = [k for k, key in enumerate(state.keys) if key not in ((U, U), GAMMA)]
-    columns = [state.amps.take(carried, 0)]
-    keys = tuple(state.keys[k] for k in carried)
-    if rows is not None:
-        columns.append(np.where(acting, _ZERO, uu)[None])
-        keys += ((U, U),)
-    amps = np.concatenate((*columns, gamma[None]))
-    return JointState(amps, keys + (GAMMA,))
+    amps = np.concatenate(
+        (state.amps.take(carried, 0), np.where(acting, _ZERO, uu)[None], gamma[None])
+    )
+    return JointState(amps, tuple(state.keys[k] for k in carried) + ((U, U), GAMMA))
 
 
 def apply_absorber(
@@ -618,7 +596,9 @@ def measure(state: JointState) -> Readout:
     """Born-rule readout of a batch of fully terminal states.
 
     Raises :class:`PipelineError` if any amplitude is still on ``s``, ``u``
-    or ``v``; detection happens only after both splitters have acted.
+    or ``v``; detection happens only after both splitters have acted.  A row
+    whose probabilities do not sum to 1, or to a finite total, raises
+    ``ValueError``.
     """
     message = "cannot measure: amplitude left on an internal label"
     _require(state, _strays(state.keys, _TERMINAL_INPUT), message)
@@ -626,8 +606,8 @@ def measure(state: JointState) -> Readout:
     probs = squares[:, 0::2] + squares[:, 1::2]  # re*re + im*im
     total = np.add.reduce(probs, 0)
     drift = np.abs(total - 1.0)
-    if np.maximum.reduce(drift, initial=0.0) > NORM_TOL:
-        row = int(drift.argmax())
+    if not (np.maximum.reduce(drift, initial=0.0) <= NORM_TOL):  # a NaN total fails too
+        row = int(drift.argmax())  # the first NaN row, if any
         raise ValueError(
             f"probabilities sum to {float(total[row])!r} in row {row}, "
             f"expected 1 within {NORM_TOL}"

@@ -8,6 +8,7 @@ import math
 import random
 import time
 
+from closed_forms import splitter_amplitudes
 from test_oracle_equivalence import compare_on_plans
 
 from mzpair.bell import (
@@ -53,7 +54,7 @@ def test_01_ev_dark_port():
 
 def test_02_annihilation_quadruple():
     start = time.perf_counter()
-    bs = BeamSplitterParams.balanced()
+    bs = BeamSplitterParams(**splitter_amplitudes(0.5))
     dist = run_pair(PairBatch.of(bs, annihilate=True))
     placements = [(False, False), (True, True), (False, True), (True, False)]
     plain, paired, minus_only, plus_only = (dist.row(SETTINGS.index(p)) for p in placements)
@@ -73,7 +74,7 @@ def test_02_annihilation_quadruple():
 
 def test_03_tuned_phase_point():
     start = time.perf_counter()
-    bs = BeamSplitterParams.from_r_squared((2.0 - math.sqrt(2.0)) / 2.0)
+    bs = BeamSplitterParams(**splitter_amplitudes((2.0 - math.sqrt(2.0)) / 2.0))
     dist = run_pair(PairBatch.of(bs, phi=math.pi))
     dark, loud = dist.row(SETTINGS.index((False, False))), dist.row(SETTINGS.index((True, True)))
     p_cc = dark.prob(("C", "C"))

@@ -8,6 +8,7 @@ import struct
 
 import numpy as np
 import pytest
+from closed_forms import splitter_amplitudes
 
 from mzpair import bell
 from mzpair.bell import (
@@ -21,9 +22,7 @@ from mzpair.bell import (
     enumerate_deterministic_strategies,
     hardy_constants,
     lhv_membership,
-    logical_inequality,
     membership_system,
-    paradox_statement_probs,
     side_outcomes,
 )
 from mzpair.experiments import PairBatch, run_pair
@@ -316,6 +315,19 @@ class TestSimulatedBehavior:
         with pytest.raises(ValueError, match="impossible under setting"):
             behavior_from_phase_setup(BeamSplitterParams.from_r(0.47), 2.2)
 
+    def test_non_finite_stray_outcome_raises(self, monkeypatch):
+        # A NaN on an outcome the setting cannot show, with every cell intact.
+        def nan_stray(batch):
+            readout = run_pair(batch)
+            probs = readout.probs.copy()
+            probs[readout.keys.index(("c", "absorbed")), SETTINGS.index((False, False))] = math.nan
+            return Readout(probs, readout.keys)
+
+        monkeypatch.setattr(bell, "run_pair", nan_stray)
+        named = r"^outcome \('c', 'absorbed'\) impossible under setting \(False, False\)$"
+        with pytest.raises(ValueError, match=named):
+            behavior_from_phase_setup(BeamSplitterParams.from_r(0.47), 2.2)
+
     @pytest.mark.parametrize("gamma", [1e-20, 0.0])
     def test_joint_sink_is_reported_before_a_stray_outcome(self, monkeypatch, gamma):
         # The placement blocks reversed, as above, plus a gamma row: any
@@ -357,7 +369,7 @@ class TestBellViolation:
 
     def test_tuned_point_value(self):
         behavior = behavior_from_phase_setup(
-            BeamSplitterParams.from_r_squared(TUNED_R_SQUARED), math.pi
+            BeamSplitterParams(**splitter_amplitudes(TUNED_R_SQUARED)), math.pi
         )
         report = bell_violation(behavior, check_lhv=False)
         assert abs(report.violation - TUNED_JOINT_PROB) <= ATOL
@@ -607,31 +619,13 @@ def test_bell_path_keeps_its_bytes():
 
 
 class TestLogicalInequality:
-    def test_certain_statements_leave_unit_excess(self):
-        assert abs(logical_inequality([1.0, 1.0, 1.0, 1.0]) - 1.0) <= ATOL
-
-    def test_single_statement_excess_is_its_probability(self):
-        assert abs(logical_inequality([0.3]) - 0.3) <= ATOL
-
-    def test_balanced_pair_has_no_excess(self):
-        assert abs(logical_inequality([0.5, 0.5])) <= ATOL
-
-    @pytest.mark.parametrize("probs", [[], [1.2], [-0.1, 0.5]])
-    def test_rejects_bad_inputs(self, probs):
-        with pytest.raises(ValueError):
-            logical_inequality(probs)
-
-    def test_excess_equals_violation(self):
-        behavior = optimum_behavior()
-        report = bell_violation(behavior, check_lhv=False)
-        excess = logical_inequality(paradox_statement_probs(behavior))
-        assert abs(excess - report.violation) <= ATOL
-
     def test_tuned_point_excess(self):
+        # The excess of the four statement probabilities over N - 1 is the
+        # violation term for term: p1 + (1 - p2) + (1 - p3) + (1 - p4) - 3.
         behavior = behavior_from_phase_setup(
-            BeamSplitterParams.from_r_squared(TUNED_R_SQUARED), math.pi
+            BeamSplitterParams(**splitter_amplitudes(TUNED_R_SQUARED)), math.pi
         )
-        excess = logical_inequality(paradox_statement_probs(behavior))
+        excess = bell_violation(behavior, check_lhv=False).violation
         assert abs(excess - TUNED_JOINT_PROB) <= 1e-9
 
 

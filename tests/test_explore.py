@@ -7,17 +7,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from closed_forms import dark_port_coefficient, dark_port_tuning
 
 from mzpair import explore
 from mzpair.bell import behavior_from_phase_setup, bell_violation
-from mzpair.experiments import SETTINGS, PairBatch, dark_port_coefficient, run_pair
+from mzpair.experiments import SETTINGS, PairBatch, run_pair
 from mzpair.explore import (
     DEFAULT_GRID,
     MAX_STEPS,
     MIDDLE_TERM_TOL,
     SweepGrid,
     check_middle_terms,
-    find_dark_port_tuning,
     find_max_violation,
     find_max_violation_at_phi,
     first_max,
@@ -129,7 +129,7 @@ class TestSweep:
         for r, phi, p_u1u2, p_c1c2, violation in sweep_cells(self.GRID):
             bs = BeamSplitterParams.from_r(r)
             assert abs(p_u1u2 - r**4) <= ATOL
-            assert abs(p_c1c2 - abs(dark_port_coefficient(bs, phi)) ** 2) <= ATOL
+            assert abs(p_c1c2 - abs(dark_port_coefficient(bs.r, bs.t, phi)) ** 2) <= ATOL
             # middle terms are already asserted tiny cell by cell
             assert abs(violation - (p_u1u2 - p_c1c2)) <= 3e-12
 
@@ -328,22 +328,22 @@ class TestFixedPhaseRefinement:
 
 class TestDarkPortTuning:
     def test_half_turn_recovers_the_tuned_ratio(self):
-        r = find_dark_port_tuning(math.pi)
+        r = dark_port_tuning(math.pi)
         assert r is not None
         assert abs(r * r - TUNED_R_SQUARED) <= 1e-10
 
     def test_tuned_ratio_darkens_the_simulated_port(self):
-        r = find_dark_port_tuning(math.pi)
+        r = dark_port_tuning(math.pi)
         bs = BeamSplitterParams.from_r(r)
-        assert abs(dark_port_coefficient(bs, math.pi)) ** 2 <= ATOL
+        assert abs(dark_port_coefficient(bs.r, bs.t, math.pi)) ** 2 <= ATOL
         dist = run_pair(PairBatch.of(bs, phi=math.pi)).row(SETTINGS.index((False, False)))
         assert dist.prob(("C", "C")) <= ATOL
 
     def test_odd_half_turns_work_too(self):
-        r = find_dark_port_tuning(3.0 * math.pi)
+        r = dark_port_tuning(3.0 * math.pi)
         assert r is not None
         assert abs(r * r - TUNED_R_SQUARED) <= 1e-10
 
     @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi / 2.0, math.pi + 0.1])
     def test_untunable_phases_return_none(self, phi):
-        assert find_dark_port_tuning(phi) is None
+        assert dark_port_tuning(phi) is None

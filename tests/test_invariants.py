@@ -1,11 +1,13 @@
 """Invariants of the code base itself, rather than of the physics.
 
-* ``dense_oracle``, ``facet_oracle`` and ``simplex_reference`` stay
-  independent implementations: they import nothing from ``mzpair``, and no
-  module of the package imports them.
+* ``dense_oracle``, ``facet_oracle``, ``simplex_reference`` and
+  ``closed_forms`` stay independent implementations: they import nothing
+  from ``mzpair``, and no module of the package imports them.
 * Correctness checks raise explicitly, so they survive ``python -O``: the
   package holds no ``assert`` statement, and a sample of checks still
   raises under ``-O``.
+* A tolerance check raises unless its value is within the tolerance, so a
+  NaN fails it: no check reads ``if x > tol: raise``.
 * The package exports a fixed list of names; ``mzpair.__all__`` is built
   from its imports, so an export can otherwise change without a diff here.
 """
@@ -38,7 +40,7 @@ def imported_modules(path):
     return names
 
 
-REFERENCES = ("dense_oracle", "facet_oracle", "simplex_reference")
+REFERENCES = ("dense_oracle", "facet_oracle", "simplex_reference", "closed_forms")
 
 
 def assert_independent(reference):
@@ -59,6 +61,10 @@ def test_simplex_reference_imports_nothing_from_the_package():
     assert_independent("simplex_reference")
 
 
+def test_closed_forms_import_nothing_from_the_package():
+    assert_independent("closed_forms")
+
+
 def test_package_never_imports_the_oracle():
     sources = sorted((SRC / "mzpair").glob("*.py"))
     assert sources
@@ -74,6 +80,55 @@ def test_package_holds_no_assert_statement():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} asserts on lines {lines}"
+
+
+def nan_blind_guards(source):
+    """Lines of ``if <a> > <tolerance>: raise``, with a ``*tol`` name or a float literal.
+
+    A NaN compares false with everything, so such a check lets it through;
+    ``if not (<a> <= <tolerance>): raise`` stops it.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)):
+            continue
+        op, bound = node.test.ops[-1], node.test.comparators[-1]
+        name = getattr(bound, "id", getattr(bound, "attr", ""))
+        literal = isinstance(bound, ast.Constant) and isinstance(bound.value, float)
+        tolerance = literal or name.lower().endswith("tol")
+        raises = any(isinstance(stmt, ast.Raise) for stmt in node.body)
+        if isinstance(op, ast.Gt) and tolerance and raises:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_nan_blind_guard_rule_flags_its_pattern():
+    flagged = """
+if drift > NORM_TOL:
+    raise ValueError
+if np.maximum.reduce(stray) > 1e-15:
+    raise ValueError
+if residual > self.tol:
+    raise ValueError
+"""
+    passed = """
+if not (drift <= NORM_TOL):
+    raise ValueError
+if excess > tol + margin:
+    verdict = None
+if steps > MAX_STEPS:
+    raise ValueError
+"""
+    assert nan_blind_guards(flagged) == [2, 4, 6]
+    assert nan_blind_guards(passed) == []
+
+
+def test_package_holds_no_nan_blind_tolerance_guard():
+    sources = sorted((SRC / "mzpair").glob("*.py"))
+    assert sources
+    for path in sources:
+        lines = nan_blind_guards(path.read_text(encoding="utf-8"))
+        assert not lines, f"{path.name} has a NaN-blind tolerance check on lines {lines}"
 
 
 OPTIMIZED_CHECKS = """
@@ -176,12 +231,31 @@ try:
     bell.behavior_from_phase_setup(BeamSplitterParams.from_r(0.47), 2.2)
 except ValueError as exc:
     print("stray outcome checked" if "impossible" in str(exc) else f"wrong check: {exc}")
+
+
+def nan_stray(batch):
+    readout = real_run_pair(batch)
+    probs = readout.probs.copy()
+    probs[readout.keys.index(("c", "absorbed")), bell.SETTINGS.index((False, False))] = math.nan
+    return Readout(probs, readout.keys)
+
+
+bell.run_pair = nan_stray
+try:
+    bell.behavior_from_phase_setup(BeamSplitterParams.from_r(0.47), 2.2)
+except ValueError as exc:
+    print("NaN stray checked" if "impossible" in str(exc) else f"wrong check: {exc}")
 bell.run_pair = real_run_pair
 
 try:
     measure(JointState(np.array([[1.0], [0.5]], dtype=complex), (("c", "c"), ("d", "d"))))
 except ValueError as exc:
     print("norm drift checked" if "sum to 1.25" in str(exc) else f"wrong check: {exc}")
+
+try:
+    measure(JointState(np.array([[complex(math.nan), 2.0]]), (("c", "c"),)))
+except ValueError as exc:
+    print("NaN norm checked" if "sum to nan in row 0" in str(exc) else f"wrong check: {exc}")
 """
 
 
@@ -204,7 +278,9 @@ def test_checks_survive_optimized_mode():
         "normalization checked",
         "no-signaling checked",
         "stray outcome checked",
+        "NaN stray checked",
         "norm drift checked",
+        "NaN norm checked",
         "",
     ]
 
@@ -236,19 +312,15 @@ PUBLIC_API = [
     "apply_phase_coupling",
     "behavior_from_phase_setup",
     "bell_violation",
-    "dark_port_coefficient",
     "enumerate_deterministic_strategies",
     "ev_retest_efficiency",
-    "find_dark_port_tuning",
     "find_max_violation",
     "find_max_violation_at_phi",
     "first_max",
     "gravity_phase",
     "hardy_constants",
     "lhv_membership",
-    "logical_inequality",
     "measure",
-    "paradox_statement_probs",
     "run_ev",
     "run_pair",
     "run_pair_state",

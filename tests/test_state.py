@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from closed_forms import splitter_amplitudes
 
 from mzpair.experiments import SETTINGS, PairBatch, run_pair, run_pair_state
 from mzpair.explore import R_CLAMP_LO
@@ -35,6 +36,7 @@ from mzpair.state import (
 )
 
 ATOL = 1e-12
+BALANCED = BeamSplitterParams(**splitter_amplitudes(0.5))
 
 
 def random_params(rng):
@@ -58,8 +60,7 @@ class TestBeamSplitterParams:
             BeamSplitterParams(t=0.5, r=0.5)
 
     def test_balanced_is_symmetric(self):
-        params = BeamSplitterParams.balanced()
-        assert params.t == params.r
+        assert BALANCED.t == BALANCED.r
 
     def test_convention_matrices_are_unitary(self):
         # The two splitter maps, written as 2x2 matrices on (u, v) and (c, d).
@@ -75,7 +76,7 @@ class TestBeamSplitterParams:
 
 class TestApplyBs1:
     def test_balanced_amplitudes(self):
-        state = apply_bs1(JointState.single(), 0, BeamSplitterParams.balanced())
+        state = apply_bs1(JointState.single(), 0, BALANCED)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         assert abs(state.amplitude((U, NONE)) - 1j * inv_sqrt2) <= ATOL
         assert abs(state.amplitude((V, NONE)) - inv_sqrt2) <= ATOL
@@ -84,7 +85,7 @@ class TestApplyBs1:
         params = BeamSplitterParams.from_r(0.1)
         state = apply_bs1(JointState.single(), 0, params)
         assert abs(abs(state.amplitude((U, NONE))) - 0.1) <= ATOL
-        assert abs(state.norm_squared() - 1.0) <= ATOL
+        assert abs((np.abs(state.amps) ** 2).sum(0) - 1.0) <= ATOL
 
     def test_pair_gives_product_state(self):
         params = BeamSplitterParams.from_r(0.3)
@@ -96,18 +97,18 @@ class TestApplyBs1:
         assert abs(state.amplitude((V, V)) - t * t) <= ATOL
 
     def test_rejects_reapplication(self):
-        params = BeamSplitterParams.balanced()
+        params = BALANCED
         state = apply_bs1(JointState.single(), 0, params)
         with pytest.raises(PipelineError, match="first splitter"):
             apply_bs1(state, 0, params)
 
     def test_rejects_missing_particle(self):
         with pytest.raises(PipelineError):
-            apply_bs1(JointState.single(), 1, BeamSplitterParams.balanced())
+            apply_bs1(JointState.single(), 1, BALANCED)
 
     def test_rejects_bad_particle_index(self):
         with pytest.raises(ValueError, match="particle index"):
-            apply_bs1(JointState.single(), 2, BeamSplitterParams.balanced())
+            apply_bs1(JointState.single(), 2, BALANCED)
 
 
 class TestApplyBs2:
@@ -122,7 +123,7 @@ class TestApplyBs2:
         assert dist.prob("D") <= ATOL
 
     def test_u_input_splits_r_it(self):
-        params = BeamSplitterParams.balanced()
+        params = BALANCED
         state = apply_bs2(JointState.of({(U, NONE): 1.0}), 0, params)
         assert abs(state.amplitude((C, NONE)) - params.r) <= ATOL
         assert abs(state.amplitude((D, NONE)) - 1j * params.t) <= ATOL
@@ -137,14 +138,14 @@ class TestApplyBs2:
             norm = math.sqrt(sum(abs(a) ** 2 for a in raw.values()))
             state = JointState.of({k: a / norm for k, a in raw.items()})
             out = apply_bs2(apply_bs2(state, 0, params), 1, params)
-            assert abs(out.norm_squared() - 1.0) <= ATOL
+            assert abs((np.abs(out.amps) ** 2).sum(0) - 1.0) <= ATOL
 
     def test_rejects_source_amplitude(self):
         with pytest.raises(PipelineError, match="second splitter"):
-            apply_bs2(JointState.single(), 0, BeamSplitterParams.balanced())
+            apply_bs2(JointState.single(), 0, BALANCED)
 
     def test_sinks_pass_through(self):
-        params = BeamSplitterParams.balanced()
+        params = BALANCED
         state = JointState.of({(EXPLODED, NONE): 1.0})
         out = apply_bs2(state, 0, params)
         assert out.amplitude((EXPLODED, NONE)) == 1.0
@@ -166,7 +167,7 @@ class TestPhaseCoupling:
             assert out.amplitude(key) == state.amplitude(key)
 
     def test_identity_at_zero_and_full_turn(self):
-        params = BeamSplitterParams.balanced()
+        params = BALANCED
         state = self._product(params)
         out = apply_phase_coupling(state, 0.0)
         assert out.keys == state.keys
@@ -194,7 +195,7 @@ class TestPhaseCoupling:
         ],
     )
     def test_rejects_non_finite_phase(self, phi, found):
-        params = BeamSplitterParams.balanced()
+        params = BALANCED
         state = apply_bs1(apply_bs1(JointState.pair(5), 0, params), 1, params)
         with pytest.raises(ValueError, match=f"must be finite, got {found}$"):
             apply_phase_coupling(state, phi)
@@ -202,7 +203,7 @@ class TestPhaseCoupling:
     def test_norm_preserved(self):
         params = BeamSplitterParams.from_r(0.6)
         out = apply_phase_coupling(self._product(params), 2.5)
-        assert abs(out.norm_squared() - 1.0) <= ATOL
+        assert abs((np.abs(out.amps) ** 2).sum(0) - 1.0) <= ATOL
 
     def test_requires_both_particles_internal(self):
         with pytest.raises(PipelineError, match="internal arms"):
@@ -217,24 +218,24 @@ class TestAnnihilationCoupling:
 
     def test_moves_joint_uu_to_gamma(self):
         params = BeamSplitterParams.from_r(0.3)
-        out = apply_annihilation_coupling(self._product(params))
+        out = apply_annihilation_coupling(self._product(params), [True])
         r, t = params.r, params.t
         assert out.amplitude((U, U))[0] == 0.0
         assert abs(out.amplitude(GAMMA) - (-(r * r))) <= ATOL
         assert abs(out.amplitude((U, V)) - 1j * r * t) <= ATOL
-        assert abs(out.norm_squared() - 1.0) <= ATOL
+        assert abs((np.abs(out.amps) ** 2).sum(0) - 1.0) <= ATOL
         # wait-free check on the sink probability
         assert abs(abs(out.amplitude(GAMMA)) ** 2 - r**4) <= ATOL
 
     def test_without_overlap_is_identity(self):
         state = JointState.of({(U, V): 0.6, (V, U): 0.8j})
-        out = apply_annihilation_coupling(state)
+        out = apply_annihilation_coupling(state, [True])
         assert out.keys == state.keys
         assert np.array_equal(out.amps, state.amps)
 
     def test_requires_internal_pair(self):
         with pytest.raises(PipelineError, match="internal arms"):
-            apply_annihilation_coupling(JointState.pair())
+            apply_annihilation_coupling(JointState.pair(), [True])
 
     @pytest.mark.parametrize("mask", [[True], [True, False]])
     def test_rejects_a_mask_of_the_wrong_length(self, mask):
@@ -320,6 +321,20 @@ class TestMeasure:
                 measure(state)
         else:
             assert abs(measure(state).probs.sum() - 1.0) <= 2e-13
+
+    @pytest.mark.parametrize(
+        "amps, found",
+        [
+            pytest.param([[complex(math.nan), 2.0]], "nan in row 0", id="nan"),
+            pytest.param([[complex(math.inf), 1.0]], "inf in row 0", id="inf"),
+            # A NaN row is named even where another row drifts further.
+            pytest.param([[2.0, complex(math.nan)]], "nan in row 1", id="nan-after-drift"),
+        ],
+    )
+    def test_non_finite_total_is_named(self, amps, found):
+        state = JointState(np.array(amps, dtype=complex), ((C, C),))
+        with pytest.raises(ValueError, match=f"probabilities sum to {found}, expected 1"):
+            measure(state)
 
     def test_unlisted_outcome_reads_zero(self):
         readout = measure(JointState.of({(C, C): 1.0}))
@@ -412,7 +427,7 @@ class TestKeyColumns:
         out = apply_bs2(state, 0, params)
         assert abs(out.amplitude((C, NONE))[0] - (0.6 * params.r + 0.8)) <= ATOL
         assert abs(out.amplitude((D, NONE))[0] - 0.6j * params.t) <= ATOL
-        assert abs(out.norm_squared()[0] - (1.0 + 2 * 0.6 * 0.8 * params.r)) <= ATOL
+        assert abs((np.abs(out.amps) ** 2).sum(0)[0] - (1.0 + 2 * 0.6 * 0.8 * params.r)) <= ATOL
 
     def test_phase_setup_lists_at_most_nine_keys(self):
         params = BeamSplitterParams.from_r(0.4)
@@ -431,7 +446,7 @@ class TestKeyColumns:
             state = step(state)
             assert len(state.keys) <= 9
             assert len(set(state.keys)) == len(state.keys)
-        assert np.max(np.abs(state.norm_squared() - 1.0)) <= ATOL
+        assert np.max(np.abs((np.abs(state.amps) ** 2).sum(0) - 1.0)) <= ATOL
 
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(0.0, math.inf)]
