@@ -11,8 +11,7 @@ setting's outcomes.  On top of it live two views that must agree:
   more than the tolerance plus a margin is outside, and that lifting is its
   Farkas certificate (``iterations`` 0); any other behavior goes to a small
   phase-1 simplex.  The printed ``lhv_infeasibility`` is the simplex's
-  leftover mass either way: a lifting-decided verdict solves for it when
-  it is first read.
+  leftover mass either way, solved for when it is first read.
 
 ``!C`` (not-C) means the event {U, D} when the in-arm detector is placed and
 {D} when it is absent.
@@ -28,12 +27,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .experiments import SETTINGS, PairBatch, run_pair
-from .simplex import solve_phase1
+from .simplex import FEASIBILITY_TOL, solve_phase1
 from .state import GAMMA, OUTCOME_KEYS, BeamSplitterParams, Readout
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
 ]
 
 NO_SIGNALING_TOL = 1e-9
-FEASIBILITY_TOL = 1e-9
 TABLE_NORM_TOL = 1e-12
 
 
@@ -223,9 +221,12 @@ def behavior_from_phase_setup(bs: BeamSplitterParams, phi: float) -> BehaviorTab
     strays = _plan(readout.keys)[1]
     stray = readout.probs.take(strays)  # one run: probs is (keys, settings), flat = _plan rows
     if not (np.maximum.reduce(stray, initial=0.0) <= 1e-15):  # a NaN fails too
-        column, k = divmod(int(strays[stray.argmax()]), len(SETTINGS))
-        outcome = readout.keys[column]
-        raise ValueError(f"outcome {outcome!r} impossible under setting {SETTINGS[k]!r}")
+        j = int(stray.argmax())
+        column, k = divmod(int(strays[j]), len(SETTINGS))
+        outcome, p = readout.keys[column], float(stray[j])
+        raise ValueError(
+            f"outcome {outcome!r} impossible under setting {SETTINGS[k]!r}: probability {p!r}"
+        )
     return BehaviorTable._checked(behavior_cells(readout)[:, 0])
 
 
@@ -349,12 +350,12 @@ _LIFTINGS = np.array(
 _LIFTINGS.setflags(write=False)
 # One certificate tuple per lifting, shared by every verdict it decides.
 _LIFTING_CERTIFICATES = tuple(map(tuple, _LIFTINGS.tolist()))
-# How far past ``tol`` a lifting's excess must reach to decide a verdict.
+# How far past ``FEASIBILITY_TOL`` a lifting's excess must reach to decide a verdict.
 # Every entry of y is at most 1 and y @ A <= 0, so y is feasible for the
 # phase-1 dual and the simplex's leftover mass is at least y @ b.  That sum
 # of 26 terms of size <= 2 rounds by about 1e-14, and the leftover mass
 # carries pivoting error of the same order; 1e-10 stays four orders clear
-# of both, so the simplex would also find the mass above ``tol``.
+# of both, so the simplex would also find the mass above the tolerance.
 _LIFTING_MARGIN = 1e-10
 
 
@@ -364,71 +365,51 @@ class LhvMembership:
 
     ``weights`` align with :func:`enumerate_deterministic_strategies`;
     ``certificate`` aligns with the rows of :func:`membership_system`.
-    A verdict that a lifting of CHSH decided has ``iterations`` 0 and
-    solves for its ``infeasibility`` when that is first read.
+    A verdict that a lifting of CHSH decided has ``iterations`` 0.
     """
 
     feasible: bool
     weights: tuple[float, ...] | None
     residual: float | None  # max |A w - b| at the returned weights
-    infeasibility: float  # leftover phase-1 mass
     certificate: tuple[float, ...] | None
     iterations: int
+    behavior: BehaviorTable = field(repr=False, compare=False)
 
-    def __getattr__(self, name: str) -> float:
-        # Reached only for an attribute never set: the leftover mass of a
-        # verdict from _lifting_verdict, which keeps its behavior instead.
-        behavior = self.__dict__.get("_behavior")
-        if name != "infeasibility" or behavior is None:
-            raise AttributeError(name)
-        infeasibility = solve_phase1(*membership_system(behavior)).objective
-        self.__dict__[name] = infeasibility
-        return infeasibility
+    @functools.cached_property
+    def infeasibility(self) -> float:
+        """Leftover phase-1 mass, solved for when first read."""
+        return solve_phase1(*membership_system(self.behavior)).objective
 
 
-def _lifting_verdict(behavior: BehaviorTable, certificate: tuple[float, ...]) -> LhvMembership:
-    verdict = object.__new__(LhvMembership)
-    verdict.__dict__.update(
-        feasible=False,
-        weights=None,
-        residual=None,
-        certificate=certificate,
-        iterations=0,
-        _behavior=behavior,
-    )
-    return verdict
-
-
-def lhv_membership(behavior: BehaviorTable, *, tol: float = FEASIBILITY_TOL) -> LhvMembership:
+def lhv_membership(behavior: BehaviorTable) -> LhvMembership:
     """Can a mixture of the 36 deterministic strategies reproduce this behavior?
 
-    A lifting of CHSH whose excess over its local bound 2 passes ``tol`` by
-    a margin decides that no mixture can, with no simplex run; otherwise a
-    phase-1 simplex decides.  A feasible verdict carries weights ``w`` with
-    ``max|A w - b| <= tol``; an infeasible one carries a Farkas certificate
-    ``y`` with ``y.b > 0`` and ``y.A <= tol``.  Both are checked here, and
-    one that fails raises ``RuntimeError``.
+    A lifting of CHSH whose excess over its local bound 2 passes
+    ``FEASIBILITY_TOL`` by a margin decides that no mixture can, with no
+    simplex run; otherwise a phase-1 simplex decides.  A feasible verdict
+    carries weights ``w`` with ``max|A w - b| <= FEASIBILITY_TOL``; an
+    infeasible one carries a Farkas certificate ``y`` with ``y.b > 0`` and
+    ``y.A <= FEASIBILITY_TOL``.  Both are checked here, and one that fails
+    raises ``RuntimeError``.
     """
     A, b = membership_system(behavior)
     excess = _LIFTINGS @ b
     k = int(excess.argmax())
-    if excess[k] > tol + _LIFTING_MARGIN:
-        verdict = _lifting_verdict(behavior, _LIFTING_CERTIFICATES[k])
+    if excess[k] > FEASIBILITY_TOL + _LIFTING_MARGIN:
+        verdict = LhvMembership(False, None, None, _LIFTING_CERTIFICATES[k], 0, behavior)
     else:
-        result = solve_phase1(A, b, tol=tol)
+        result = solve_phase1(A, b)
         if result.feasible:
             weights = result.x
             residual = float(np.maximum.reduce(np.abs(A @ weights - b)))
-            if not residual <= tol:
+            if not residual <= FEASIBILITY_TOL:
                 raise RuntimeError(f"local-model weights fail: max|A w - b| = {residual!r}")
-            return LhvMembership(
-                True, tuple(weights), residual, result.objective, None, result.iterations
-            )
+            return LhvMembership(True, tuple(weights), residual, None, result.iterations, behavior)
         certificate = tuple(result.certificate)
-        verdict = LhvMembership(False, None, None, result.objective, certificate, result.iterations)
+        verdict = LhvMembership(False, None, None, certificate, result.iterations, behavior)
     y = np.array(verdict.certificate)
     yb, ya = float(y @ b), float(np.maximum.reduce(y @ A))
-    if not (yb > 0.0 and ya <= tol):
+    if not (yb > 0.0 and ya <= FEASIBILITY_TOL):
         raise RuntimeError(f"Farkas certificate fails: y.b = {yb!r}, max(y.A) = {ya!r}")
     return verdict
 

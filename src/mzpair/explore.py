@@ -8,7 +8,8 @@ cell.  Grid points go through the engine in blocks of at most
 with its own ratio, every point under all four detector settings.  A sweep
 yields the blocks as they are computed and keeps none, so its memory does
 not grow with the grid; every scan picks its best cell with
-:func:`first_max`.  Optimization is a coarse scan followed by a fixed
+:func:`first_max`.  Both searches run on ``DEFAULT_GRID``: a coarse scan
+of the grid (of its r axis alone at a fixed phase) followed by a fixed
 schedule of shrinking zoom grids, one engine batch each, which keeps
 results bit-reproducible.
 """
@@ -36,11 +37,9 @@ __all__ = [
     "find_max_violation_at_phi",
 ]
 
-# Hard validity clamp for the splitter ratio during refinement.
-R_CLAMP_LO = 1e-3
-R_CLAMP_HI = 1.0 - 1e-3
-
 MIDDLE_TERM_TOL = 1e-12
+
+REFINE_TOL = 1e-8  # the zoom box half-width at which refinement stops
 
 # Phases per engine batch, so one default-grid r row (200 runs fanned out to
 # 4 x 200 states) is one batch.  Default find_max_violation, medians of 7
@@ -121,6 +120,7 @@ def _axis(lo: float, hi: float, steps: int, start: int, stop: int | None) -> lis
     return [lo + i * step for i in range(start, steps if stop is None else min(stop, steps))]
 
 
+# Both searches' domain and the default sweep; read at call time, so a patch applies.
 DEFAULT_GRID = SweepGrid(
     r_min=0.05, r_max=0.95, r_steps=200, phi_min=0.0, phi_max=2.0 * math.pi, phi_steps=200
 )
@@ -258,32 +258,21 @@ def _zoom(best, r_half: float, phi_half: float, r_range, phi_range, tol: float):
     return (r, phi, v), evals
 
 
-def find_max_violation(grid: SweepGrid | None = None, refine_tol: float = 1e-8) -> Optimum:
-    """Locate the largest simulated violation on (and inside) the grid.
+def find_max_violation(refine_tol: float = REFINE_TOL) -> Optimum:
+    """Locate the largest simulated violation on (and inside) ``DEFAULT_GRID``.
 
     A full coarse scan picks the best cell; zoom grids starting one grid step
     around it then refine both coordinates until the box's half-width is
     within ``refine_tol``.  The result never falls below the best coarse cell.
     """
-    if grid is None:
-        grid = DEFAULT_GRID
     if not (0.0 < refine_tol <= 1e-2):
         raise ValueError(f"refine_tol out of range: {refine_tol!r}")
+    grid = DEFAULT_GRID
+    r_lo, r_hi, phi_lo, phi_hi = grid.r_min, grid.r_max, grid.phi_min, grid.phi_max
+    evals, (best_r, best_phi, _, _, best_v) = first_max(_scan(grid.r_values(), grid))
 
-    r_lo = max(grid.r_min, R_CLAMP_LO)
-    r_hi = min(grid.r_max, R_CLAMP_HI)
-    phi_lo, phi_hi = grid.phi_min, grid.phi_max
-
-    r_grid = [r for r in grid.r_values() if r_lo <= r <= r_hi]
-    if not r_grid:
-        raise ValueError(
-            f"no grid row in [{grid.r_min!r}, {grid.r_max!r}] lies inside the "
-            f"searchable range [{R_CLAMP_LO!r}, {R_CLAMP_HI!r}]"
-        )
-    evals, (best_r, best_phi, _, _, best_v) = first_max(_scan(r_grid, grid))
-
-    r_step = (grid.r_max - grid.r_min) / (grid.r_steps - 1)
-    phi_step = (grid.phi_max - grid.phi_min) / (grid.phi_steps - 1)
+    r_step = (r_hi - r_lo) / (grid.r_steps - 1)
+    phi_step = (phi_hi - phi_lo) / (grid.phi_steps - 1)
     (r_cur, phi_cur, _), n = _zoom(
         (best_r, best_phi, best_v), r_step, phi_step, (r_lo, r_hi), (phi_lo, phi_hi), refine_tol
     )
@@ -315,33 +304,20 @@ def find_max_violation(grid: SweepGrid | None = None, refine_tol: float = 1e-8) 
     return Optimum(r_cur, phi_cur, v_cur, evals, at_boundary)
 
 
-def find_max_violation_at_phi(
-    phi: float,
-    *,
-    r_min: float = 0.05,
-    r_max: float = 0.95,
-    r_steps: int = 200,
-    refine_tol: float = 1e-8,
-) -> Optimum:
-    """Best achievable violation at a fixed coupling phase (scan + refine in r)."""
-    if not (0.0 < refine_tol <= 1e-2):
-        raise ValueError(f"refine_tol out of range: {refine_tol!r}")
-    if not (0.0 < r_min < r_max < 1.0):
-        raise ValueError(f"need 0 < r_min < r_max < 1, got [{r_min!r}, {r_max!r}]")
-    r_lo = max(r_min, R_CLAMP_LO)
-    r_hi = min(r_max, R_CLAMP_HI)
-    if r_steps < 2 or r_lo > r_hi:
-        raise ValueError(
-            f"need r_steps >= 2 over a range that meets [{R_CLAMP_LO!r}, {R_CLAMP_HI!r}], "
-            f"got {r_steps!r} over [{r_min!r}, {r_max!r}]"
-        )
-    step = (r_hi - r_lo) / (r_steps - 1)
+def find_max_violation_at_phi(phi: float) -> Optimum:
+    """Best achievable violation at a fixed coupling phase, over ``DEFAULT_GRID``'s ratios.
 
-    r_grid = r_lo + np.arange(r_steps) * step
-    evals, (best_r, _, _, _, best_v) = first_max(_points(r_grid, np.full(r_steps, phi)))
+    The grid's r axis is scanned at ``phi``, then zoom grids in r refine the
+    best ratio to within ``REFINE_TOL``.
+    """
+    grid = DEFAULT_GRID
+    r_lo, r_hi = grid.r_min, grid.r_max
+    r_grid = np.array(grid.r_values())
+    evals, (best_r, _, _, _, best_v) = first_max(_points(r_grid, np.full(len(r_grid), phi)))
+    step = (r_hi - r_lo) / (grid.r_steps - 1)
     (r_star, _, v_star), n = _zoom(
-        (best_r, phi, best_v), step, 0.0, (r_lo, r_hi), (phi, phi), refine_tol
+        (best_r, phi, best_v), step, 0.0, (r_lo, r_hi), (phi, phi), REFINE_TOL
     )
     evals += n
-    at_boundary = r_star - r_lo <= 2.0 * refine_tol or r_hi - r_star <= 2.0 * refine_tol
+    at_boundary = r_star - r_lo <= 2.0 * REFINE_TOL or r_hi - r_star <= 2.0 * REFINE_TOL
     return Optimum(r_star, phi, v_star, evals, at_boundary)

@@ -31,6 +31,8 @@ __all__ = ["Phase1Result", "solve_phase1"]
 
 # Entries smaller than this are treated as zero during pivoting.
 PIVOT_EPS = 1e-11
+FEASIBILITY_TOL = 1e-9  # most leftover artificial mass of a solvable system
+MAX_ITERATIONS = 10_000  # pivots before giving up; Bland's rule makes this a guard only
 
 
 @dataclass(frozen=True)
@@ -42,13 +44,7 @@ class Phase1Result:
     iterations: int
 
 
-def solve_phase1(
-    A: np.ndarray,
-    b: np.ndarray,
-    *,
-    tol: float = 1e-9,
-    max_iterations: int = 10_000,
-) -> Phase1Result:
+def solve_phase1(A: np.ndarray, b: np.ndarray) -> Phase1Result:
     """Find x >= 0 with ``A x = b`` (requires ``b >= 0``), or certify none exists."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -108,7 +104,7 @@ def solve_phase1(
         basis[leave] = enter
 
         iterations += 1
-        if iterations > max_iterations:
+        if iterations > MAX_ITERATIONS:
             raise RuntimeError("simplex failed to terminate")
 
     objective = -tableau[m, -1]
@@ -117,7 +113,7 @@ def solve_phase1(
         if var < n:
             x[var] = tableau[i, -1]
 
-    if objective <= tol:
+    if objective <= FEASIBILITY_TOL:
         return Phase1Result(True, float(objective), x, None, iterations)
     # Dual prices from the artificial reduced costs: z_j = 1 - y_i there.
     certificate = 1.0 - zrow[n : n + m]

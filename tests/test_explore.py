@@ -202,8 +202,9 @@ class TestMiddleTermCheck:
             return readout
 
         monkeypatch.setattr(explore, "run_pair", leaky_refinement)
+        monkeypatch.setattr(explore, "DEFAULT_GRID", SweepGrid(0.40, 0.75, 36, 2.2, 4.2, 41))
         with pytest.raises(PipelineError, match="middle terms") as failure:
-            find_max_violation(TestFindMaxViolation.GRID)
+            find_max_violation()
         ((r, phi),) = leaked
         assert str(failure.value).endswith(f" at r={r!r}, phi={phi!r}")
 
@@ -213,10 +214,8 @@ class TestMiddleTermCheck:
 
 
 class TestFindMaxViolation:
-    GRID = SweepGrid(0.40, 0.75, 36, 2.2, 4.2, 41)
-
     def test_refines_to_the_optimum(self):
-        opt = find_max_violation(self.GRID)
+        opt = find_max_violation()
         assert abs(opt.violation_star - 0.0990) <= 1e-4
         assert abs(opt.r_star - 0.58309) <= 1e-4
         assert abs(opt.phi_star - math.pi) <= 1e-6
@@ -224,16 +223,18 @@ class TestFindMaxViolation:
         assert opt.iterations > 0
 
     def test_never_below_the_coarse_scan(self):
-        opt = find_max_violation(self.GRID)
-        _, (_, _, _, _, coarse_best) = first_max(sweep(self.GRID))
+        opt = find_max_violation()
+        _, (_, _, _, _, coarse_best) = first_max(sweep(DEFAULT_GRID))
         assert opt.violation_star >= coarse_best - 1e-15
 
     def test_reported_value_matches_reported_point(self):
-        opt = find_max_violation(self.GRID)
+        opt = find_max_violation()
         assert abs(opt.violation_star - violation_at(opt.r_star, opt.phi_star)) <= 1e-15
 
-    def test_flags_a_boundary_argmax(self):
-        opt = find_max_violation(SweepGrid(0.1, 0.2, 11, 0.5, 1.0, 11))
+    def test_flags_a_boundary_argmax(self, monkeypatch):
+        # The search reads the module's grid when called.
+        monkeypatch.setattr(explore, "DEFAULT_GRID", SweepGrid(0.1, 0.2, 11, 0.5, 1.0, 11))
+        opt = find_max_violation()
         assert opt.at_boundary
         assert opt.violation_star < 0.0
         assert 0.1 <= opt.r_star <= 0.2
@@ -243,11 +244,11 @@ class TestFindMaxViolation:
         def worse(best, *args):
             return (0.3, 0.0, best[2]), 0
 
-        _, (_, _, _, _, coarse_best) = first_max(sweep(self.GRID))
+        _, (_, _, _, _, coarse_best) = first_max(sweep(DEFAULT_GRID))
         monkeypatch.setattr(explore, "_zoom", worse)
         named = rf"refined violation -?[0-9.e-]+ .* fell below the coarse best {coarse_best!r}"
         with pytest.raises(RuntimeError, match=named):
-            find_max_violation(self.GRID)
+            find_max_violation()
 
     def test_zoom_keeps_its_centre_on_a_tie(self):
         # The zoom moves only on a strict improvement: a point of its grid
@@ -259,7 +260,7 @@ class TestFindMaxViolation:
             explore._points(np.repeat(rs, len(phis)), np.tile(phis, len(rs)))
         )
         assert (r_k, phi_k) != (r, phi)
-        ranges = (explore.R_CLAMP_LO, explore.R_CLAMP_HI), (0.0, 2.0 * math.pi)
+        ranges = (DEFAULT_GRID.r_min, DEFAULT_GRID.r_max), (0.0, 2.0 * math.pi)
         # A tol below the larger half-width, but not below it shrunk once: one round.
         best, evals = explore._zoom((r, phi, v_k), r_half, phi_half, *ranges, tol=phi_half / 2)
         assert best == (r, phi, v_k)
@@ -268,15 +269,7 @@ class TestFindMaxViolation:
     @pytest.mark.parametrize("tol", [0.0, -1e-9, 0.5])
     def test_rejects_bad_refine_tol(self, tol):
         with pytest.raises(ValueError, match="refine_tol"):
-            find_max_violation(self.GRID, refine_tol=tol)
-
-    @pytest.mark.parametrize(
-        "grid",
-        [SweepGrid(1e-5, 5e-4, 3, 0.0, 1.0, 3), SweepGrid(1e-4, 0.9995, 2, 0.0, 1.0, 3)],
-    )
-    def test_rejects_a_grid_without_a_searchable_row(self, grid):
-        with pytest.raises(ValueError, match=rf"\[{grid.r_min!r}, {grid.r_max!r}\]"):
-            find_max_violation(grid)
+            find_max_violation(refine_tol=tol)
 
 
 class TestFixedPhaseRefinement:
@@ -304,24 +297,9 @@ class TestFixedPhaseRefinement:
         assert opt.r_star >= 0.94
         assert opt.violation_star < 0.0
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="refine_tol"):
-            find_max_violation_at_phi(math.pi, refine_tol=0.0)
-        with pytest.raises(ValueError, match="r_min"):
-            find_max_violation_at_phi(math.pi, r_min=0.9, r_max=0.2)
-
-    @pytest.mark.parametrize("r_steps", [1, 0, -3])
-    def test_rejects_too_few_steps(self, r_steps):
-        with pytest.raises(ValueError, match=rf"got {r_steps} over \[0.05, 0.95\]"):
-            find_max_violation_at_phi(math.pi, r_steps=r_steps)
-
-    @pytest.mark.parametrize("r_min, r_max", [(1e-5, 5e-4), (0.9995, 0.9999)])
-    def test_rejects_a_range_outside_the_clamp(self, r_min, r_max):
-        with pytest.raises(ValueError, match=rf"got 200 over \[{r_min!r}, {r_max!r}\]"):
-            find_max_violation_at_phi(math.pi, r_min=r_min, r_max=r_max)
-
-    def test_range_inside_the_clamp_keeps_its_optimum_inside(self):
-        opt = find_max_violation_at_phi(math.pi, r_min=0.2, r_max=0.3, r_steps=7)
+    def test_stays_inside_a_patched_grid(self, monkeypatch):
+        monkeypatch.setattr(explore, "DEFAULT_GRID", SweepGrid(0.2, 0.3, 7, 0.0, 1.0, 2))
+        opt = find_max_violation_at_phi(math.pi)
         assert 0.2 <= opt.r_star <= 0.3
         assert opt.iterations > 7
 

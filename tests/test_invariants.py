@@ -10,9 +10,12 @@
   NaN fails it: no check reads ``if x > tol: raise``.
 * The package exports a fixed list of names; ``mzpair.__all__`` is built
   from its imports, so an export can otherwise change without a diff here.
+  Each exported function's signature is pinned too, so adding or removing
+  an option shows up here.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -244,7 +247,7 @@ bell.run_pair = nan_stray
 try:
     bell.behavior_from_phase_setup(BeamSplitterParams.from_r(0.47), 2.2)
 except ValueError as exc:
-    print("NaN stray checked" if "impossible" in str(exc) else f"wrong check: {exc}")
+    print("NaN stray checked" if "probability nan" in str(exc) else f"wrong check: {exc}")
 bell.run_pair = real_run_pair
 
 try:
@@ -331,3 +334,44 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(mzpair.__all__) == PUBLIC_API
+
+
+PUBLIC_SIGNATURES = {
+    "apply_absorber": (
+        "(state: 'JointState', particle: 'int', arm: 'str', sink: 'str' = 'absorbed', "
+        "rows: 'np.ndarray | None' = None) -> 'JointState'"
+    ),
+    "apply_annihilation_coupling": "(state: 'JointState', rows: 'np.ndarray') -> 'JointState'",
+    "apply_bs1": (
+        "(state: 'JointState', particle: 'int', params: 'BeamSplitterParams') -> 'JointState'"
+    ),
+    "apply_bs2": (
+        "(state: 'JointState', particle: 'int', params: 'BeamSplitterParams') -> 'JointState'"
+    ),
+    "apply_phase_coupling": "(state: 'JointState', phi: 'float | np.ndarray') -> 'JointState'",
+    "behavior_from_phase_setup": "(bs: 'BeamSplitterParams', phi: 'float') -> 'BehaviorTable'",
+    "bell_violation": "(behavior: 'BehaviorTable', *, check_lhv: 'bool' = True) -> 'BellReport'",
+    "enumerate_deterministic_strategies": "() -> 'tuple[DeterministicStrategy, ...]'",
+    "ev_retest_efficiency": "(bs: 'BeamSplitterParams') -> 'float'",
+    "find_max_violation": "(refine_tol: 'float' = 1e-08) -> 'Optimum'",
+    "find_max_violation_at_phi": "(phi: 'float') -> 'Optimum'",
+    "first_max": "(blocks) -> 'tuple[int, tuple[float, float, float, float, float] | None]'",
+    "gravity_phase": "(params: 'GravityParams') -> 'float'",
+    "hardy_constants": "() -> 'HardyConstants'",
+    "lhv_membership": "(behavior: 'BehaviorTable') -> 'LhvMembership'",
+    "measure": "(state: 'JointState') -> 'Readout'",
+    "run_ev": "(bs: 'BeamSplitterParams', bomb_present: 'bool') -> 'OutcomeDistribution'",
+    "run_pair": "(batch: 'PairBatch') -> 'Readout'",
+    "run_pair_state": "(batch: 'PairBatch') -> 'JointState'",
+    "sweep": "(grid: 'SweepGrid')",
+    "violation_at": "(r: 'float', phi: 'float') -> 'float'",
+}
+
+
+def test_public_signatures_are_pinned():
+    functions = {
+        name: getattr(mzpair, name)
+        for name in mzpair.__all__
+        if inspect.isfunction(getattr(mzpair, name))
+    }
+    assert {name: str(inspect.signature(f)) for name, f in functions.items()} == PUBLIC_SIGNATURES

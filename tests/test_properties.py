@@ -1,4 +1,4 @@
-"""Property tests of the engine's physics: norm, periodicity, particle swap, no-signaling.
+"""Property tests of the engine: norm, periodicity, particle swap, no-signaling, non-finite input.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -14,7 +14,22 @@ from hypothesis import strategies as st  # noqa: E402
 
 from mzpair.bell import behavior_from_phase_setup  # noqa: E402
 from mzpair.experiments import SETTINGS, PairBatch, run_pair, run_pair_state  # noqa: E402
-from mzpair.state import NORM_TOL, OUTCOME_KEYS, BeamSplitterParams, Readout  # noqa: E402
+from mzpair.state import (  # noqa: E402
+    ABSORBED,
+    EXPLODED,
+    NORM_TOL,
+    OUTCOME_KEYS,
+    U,
+    BeamSplitterParams,
+    JointState,
+    Readout,
+    apply_absorber,
+    apply_annihilation_coupling,
+    apply_bs1,
+    apply_bs2,
+    apply_phase_coupling,
+    measure,
+)
 
 ATOL = 1e-12
 
@@ -89,3 +104,59 @@ def test_marginals_do_not_depend_on_the_far_setting(r, phi):
             placed = behavior.marginal(side, own, True)
             absent = behavior.marginal(side, own, False)
             assert max(abs(placed[o] - absent[o]) for o in placed) <= ATOL
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, -1.0)]
+
+
+def twin_steps(r, phi, annihilate):
+    """The twin pipeline as engine steps on one run's four placements, from ``JointState.pair``."""
+    bs = BeamSplitterParams.from_r(r)
+    side1, side2 = (np.array(placed) for placed in zip(*SETTINGS))
+    coupled = np.full(len(SETTINGS), annihilate)
+    return [
+        lambda state: apply_bs1(state, 0, bs),
+        lambda state: apply_bs1(state, 1, bs),
+        lambda state: apply_phase_coupling(state, phi),
+        lambda state: apply_annihilation_coupling(state, coupled),
+        lambda state: apply_absorber(state, 0, U, ABSORBED, side1),
+        lambda state: apply_absorber(state, 1, U, ABSORBED, side2),
+        lambda state: apply_bs2(state, 0, bs),
+        lambda state: apply_bs2(state, 1, bs),
+        measure,
+    ]
+
+
+def ev_steps(r):
+    """The bomb test with a live bomb as engine steps, from ``JointState.single``."""
+    bs = BeamSplitterParams.from_r(r)
+    return [
+        lambda state: apply_bs1(state, 0, bs),
+        lambda state: apply_absorber(state, 0, U, EXPLODED),
+        lambda state: apply_bs2(state, 0, bs),
+        measure,
+    ]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.booleans(), ratios, phases, st.booleans(), st.sampled_from(NON_FINITE), st.data())
+def test_a_non_finite_amplitude_fails_closed_and_is_named(twin, r, phi, annihilate, value, data):
+    # Whatever the step and the amplitude it lands on, the run ends in a
+    # ValueError that names the value, never in a readout.
+    if twin:
+        state, steps = JointState.pair(len(SETTINGS)), twin_steps(r, phi, annihilate)
+    else:
+        state, steps = JointState.single(), ev_steps(r)
+    at = data.draw(st.integers(0, len(steps) - 1), label="step")
+    for step in steps[:at]:
+        state = step(state)
+    column = data.draw(st.integers(0, len(state.keys) - 1), label="column")
+    row = data.draw(st.integers(0, state.rows - 1), label="row")
+    amps = state.amps.copy()
+    amps[column, row] = value
+    state = JointState(amps, state.keys)
+    # numpy warns on inf - inf and inf * 0; pytest's -W error would raise the warning instead.
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match=r"\b(nan|inf)"):
+            for step in steps[at:]:
+                state = step(state)

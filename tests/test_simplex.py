@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mzpair import simplex
 from mzpair.simplex import Phase1Result, solve_phase1
 
 TOL = 1e-9
@@ -115,3 +116,18 @@ class TestValidation:
     def test_rejects_mismatched_rhs(self):
         with pytest.raises(ValueError, match="shape"):
             solve_phase1(np.eye(3), np.ones(2))
+
+
+class TestPivotGuard:
+    A = np.array([[1.0, 1.0], [0.0, 1.0]])
+    b = np.array([2.0, 1.0])
+
+    def test_raises_past_the_pivot_limit(self, monkeypatch):
+        pivots = solve_phase1(self.A, self.b).iterations
+        assert pivots >= 2
+        monkeypatch.setattr(simplex, "MAX_ITERATIONS", pivots)
+        assert_feasible_solution(self.A, self.b, solve_phase1(self.A, self.b))
+        for limit in (pivots - 1, 0):
+            monkeypatch.setattr(simplex, "MAX_ITERATIONS", limit)
+            with pytest.raises(RuntimeError, match="simplex failed to terminate"):
+                solve_phase1(self.A, self.b)

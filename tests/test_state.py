@@ -11,7 +11,6 @@ import pytest
 from closed_forms import splitter_amplitudes
 
 from mzpair.experiments import SETTINGS, PairBatch, run_pair, run_pair_state
-from mzpair.explore import R_CLAMP_LO
 from mzpair.state import (
     ABSORBED,
     OUTCOME_KEYS,
@@ -514,14 +513,14 @@ def test_mixed_batches_keep_their_bits():
 def phase_settings_batches(seed):
     """A shared-ratio and a per-phase-ratio ``phase_settings`` batch of 60 phases.
 
-    Both hold zero phases; the per-phase ratios reach the refinement clamp
-    ``R_CLAMP_LO`` and ``r = 1e-9``, where the first splitters prune the
-    ``(u, u)`` amplitude ``-1e-18``.
+    Both hold zero phases; the per-phase ratios reach ``r = 1e-3`` and
+    ``r = 1e-9``, where the first splitters prune the ``(u, u)`` amplitude
+    ``-1e-18``.
     """
     rng = np.random.default_rng(seed)
     phis = np.where(rng.random(60) < 0.25, 0.0, rng.uniform(-7.0, 7.0, 60))
     r = rng.uniform(0.02, 0.98, 60)
-    r[:6] = [1e-9, 1e-9, R_CLAMP_LO, R_CLAMP_LO, 1.0001 * R_CLAMP_LO, 2.0 * R_CLAMP_LO]
+    r[:6] = [1e-9, 1e-9, 1e-3, 1e-3, 1.0001 * 1e-3, 2.0 * 1e-3]
     phis[:6:2] = 0.0
     # sqrt(1 - 1e-18) rounds to 1, which a splitter rejects; the float below
     # 1 keeps t^2 + r^2 within NORM_TOL of 1.
