@@ -10,15 +10,13 @@ coupling phase.
 from types import ModuleType as _ModuleType
 
 from .bell import (
+    STRATEGIES,
     BehaviorTable,
     BellReport,
-    DeterministicStrategy,
     HardyConstants,
     LhvMembership,
-    LocalStrategy,
     behavior_from_phase_setup,
     bell_violation,
-    enumerate_deterministic_strategies,
     hardy_constants,
     lhv_membership,
 )

@@ -7,11 +7,12 @@ setting's outcomes.  On top of it live two views that must agree:
 * the four-term inequality  p(U1,U2) - p(U1,!C2) - p(!C1,U2) - p(C1,C2) <= 0,
   satisfied by every local deterministic strategy;
 * exact membership in the polytope spanned by the 36 deterministic
-  strategies.  A behavior that violates one of the 72 liftings of CHSH by
-  more than the tolerance plus a margin is outside, and that lifting is its
-  Farkas certificate (``iterations`` 0); any other behavior goes to a small
-  phase-1 simplex.  The printed ``lhv_infeasibility`` is the simplex's
-  leftover mass either way, solved for when it is first read.
+  strategies ``STRATEGIES``.  A behavior that violates one of the 72
+  liftings of CHSH by more than the tolerance plus a margin is outside, and
+  that lifting is its Farkas certificate (``iterations`` 0); any other
+  behavior goes to a small phase-1 simplex.  The printed
+  ``lhv_infeasibility`` is the simplex's leftover mass either way: that
+  run's, or, after a lifting, solved for when it is first read.
 
 ``!C`` (not-C) means the event {U, D} when the in-arm detector is placed and
 {D} when it is absent.
@@ -41,14 +42,12 @@ __all__ = [
     "side_outcomes",
     "BehaviorTable",
     "BellReport",
-    "LocalStrategy",
-    "DeterministicStrategy",
+    "STRATEGIES",
     "LhvMembership",
     "behavior_cells",
     "behavior_from_phase_setup",
     "inequality_terms",
     "bell_violation",
-    "enumerate_deterministic_strategies",
     "membership_system",
     "lhv_membership",
     "hardy_constants",
@@ -67,6 +66,11 @@ def side_outcomes(present: bool) -> tuple[str, ...]:
 def _outcomes(setting: tuple[bool, bool]) -> list[tuple[str, str]]:
     return [(o1, o2) for o1 in side_outcomes(setting[0]) for o2 in side_outcomes(setting[1])]
 
+
+# The 36 deterministic strategies, each as four letters: side 1's response
+# with its detector placed, then absent, then side 2's likewise.
+_RESPONSES = [placed + absent for placed in side_outcomes(True) for absent in side_outcomes(False)]
+STRATEGIES = tuple(side1 + side2 for side1 in _RESPONSES for side2 in _RESPONSES)
 
 # The canonical layout of a behavior: its 25 admissible (setting, outcome)
 # cells, setting by setting; _BLOCKS[setting] slices out one setting's cells.
@@ -252,63 +256,17 @@ def bell_violation(behavior: BehaviorTable, *, check_lhv: bool = True) -> BellRe
     return BellReport(p1, p2, p3, p4, violation, feasible)
 
 
-@dataclass(frozen=True)
-class LocalStrategy:
-    """One side's fixed response to each detector placement."""
-
-    when_present: str  # "U", "C" or "D"
-    when_absent: str  # "C" or "D"
-
-    def __post_init__(self) -> None:
-        if self.when_present not in side_outcomes(True):
-            raise ValueError(f"invalid response {self.when_present!r} for a placed detector")
-        if self.when_absent not in side_outcomes(False):
-            raise ValueError(f"invalid response {self.when_absent!r} for an absent detector")
-
-    def outcome(self, present: bool) -> str:
-        return self.when_present if present else self.when_absent
-
-
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """A pair of local strategies, one per side."""
-
-    side1: LocalStrategy
-    side2: LocalStrategy
-
-    def behavior(self) -> BehaviorTable:
-        tables = {
-            setting: {(self.side1.outcome(setting[0]), self.side2.outcome(setting[1])): 1.0}
-            for setting in SETTINGS
-        }
-        return BehaviorTable.from_tables(tables)
-
-
-def _local_strategies() -> tuple[LocalStrategy, ...]:
-    return tuple(
-        LocalStrategy(p, a) for p in side_outcomes(True) for a in side_outcomes(False)
-    )
-
-
-def enumerate_deterministic_strategies() -> tuple[DeterministicStrategy, ...]:
-    """All 36 joint deterministic responses (6 per side), in a fixed order."""
-    locals_ = _local_strategies()
-    return tuple(DeterministicStrategy(s1, s2) for s1 in locals_ for s2 in locals_)
-
-
-@functools.cache
-def _strategy_matrix() -> np.ndarray:
-    """0/1 indicator of each strategy's outcome per cell, one column per strategy, plus ones."""
-    strategies = enumerate_deterministic_strategies()
-    rows = [
-        [(s.side1.outcome(placed[0]), s.side2.outcome(placed[1])) == outcome for s in strategies]
-        for placed, outcome in CELLS
+# The A of membership_system: one column per strategy, 1 on the cell it
+# shows under each setting, above a row of ones for the normalization.
+_STRATEGY_MATRIX = np.array(
+    [
+        [(s[0] if placed1 else s[1], s[2] if placed2 else s[3]) == outcome for s in STRATEGIES]
+        for (placed1, placed2), outcome in CELLS
     ]
-    A = np.array(rows + [[True] * len(strategies)], dtype=float)
-    A.setflags(write=False)
-    return A
-
-
+    + [[True] * len(STRATEGIES)],
+    dtype=float,
+)
+_STRATEGY_MATRIX.setflags(write=False)
 _ONE = np.ones(1)  # the right-hand side of the normalization row
 
 
@@ -321,7 +279,7 @@ def membership_system(behavior: BehaviorTable) -> tuple[np.ndarray, np.ndarray]:
     leftover mass reported as ``infeasibility`` changes.  ``A`` is shared
     and read-only.
     """
-    return _strategy_matrix(), np.concatenate((behavior.cells, _ONE))
+    return _STRATEGY_MATRIX, np.concatenate((behavior.cells, _ONE))
 
 
 # The 72 liftings of CHSH (Pironio, J. Math. Phys. 46, 062112 (2005)), each
@@ -363,7 +321,7 @@ _LIFTING_MARGIN = 1e-10
 class LhvMembership:
     """Outcome of the polytope membership test.
 
-    ``weights`` align with :func:`enumerate_deterministic_strategies`;
+    ``weights`` align with :data:`STRATEGIES`;
     ``certificate`` aligns with the rows of :func:`membership_system`.
     A verdict that a lifting of CHSH decided has ``iterations`` 0.
     """
@@ -377,7 +335,7 @@ class LhvMembership:
 
     @functools.cached_property
     def infeasibility(self) -> float:
-        """Leftover phase-1 mass, solved for when first read."""
+        """Leftover phase-1 mass: the deciding simplex's, else solved for when first read."""
         return solve_phase1(*membership_system(self.behavior)).objective
 
 
@@ -400,13 +358,18 @@ def lhv_membership(behavior: BehaviorTable) -> LhvMembership:
     else:
         result = solve_phase1(A, b)
         if result.feasible:
-            weights = result.x
-            residual = float(np.maximum.reduce(np.abs(A @ weights - b)))
+            residual = float(np.maximum.reduce(np.abs(A @ result.x - b)))
             if not residual <= FEASIBILITY_TOL:
                 raise RuntimeError(f"local-model weights fail: max|A w - b| = {residual!r}")
-            return LhvMembership(True, tuple(weights), residual, None, result.iterations, behavior)
-        certificate = tuple(result.certificate)
-        verdict = LhvMembership(False, None, None, certificate, result.iterations, behavior)
+            weights = tuple(result.x)
+            verdict = LhvMembership(True, weights, residual, None, result.iterations, behavior)
+        else:
+            certificate = tuple(result.certificate)
+            verdict = LhvMembership(False, None, None, certificate, result.iterations, behavior)
+        # Seed the cached property: reading it would repeat this very solve.
+        verdict.__dict__["infeasibility"] = result.objective
+        if verdict.feasible:
+            return verdict
     y = np.array(verdict.certificate)
     yb, ya = float(y @ b), float(np.maximum.reduce(y @ A))
     if not (yb > 0.0 and ya <= FEASIBILITY_TOL):

@@ -12,11 +12,12 @@ from closed_forms import splitter_amplitudes
 from test_oracle_equivalence import compare_on_plans
 
 from mzpair.bell import (
+    STRATEGIES,
     behavior_from_phase_setup,
-    bell_violation,
-    enumerate_deterministic_strategies,
     hardy_constants,
+    inequality_terms,
     lhv_membership,
+    membership_system,
 )
 from mzpair.experiments import (
     SETTINGS,
@@ -163,17 +164,17 @@ def test_06_reference_constants():
 
 def test_07_local_model_suite():
     start = time.perf_counter()
-    worst_strategy = max(
-        bell_violation(s.behavior(), check_lhv=False).violation
-        for s in enumerate_deterministic_strategies()
-    )
-    mixed = lhv_membership(behavior_from_phase_setup(BeamSplitterParams.from_r(0.5), 0.0))
+    uncoupled = behavior_from_phase_setup(BeamSplitterParams.from_r(0.5), 0.0)
+    strategies = membership_system(uncoupled)[0][:-1]  # one strategy's cells per column
+    worst_strategy = float(inequality_terms(strategies)[-1].max())
+    mixed = lhv_membership(uncoupled)
     quantum = lhv_membership(
         behavior_from_phase_setup(BeamSplitterParams.from_r(0.5830902), math.pi)
     )
     elapsed = time.perf_counter() - start
     ok = (
-        worst_strategy <= 1e-12
+        strategies.shape[1] == len(STRATEGIES) == 36
+        and worst_strategy <= 1e-12
         and mixed.feasible
         and mixed.residual < 1e-9
         and not quantum.feasible

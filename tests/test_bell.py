@@ -15,11 +15,10 @@ from mzpair.bell import (
     CELLS,
     FEASIBILITY_TOL,
     SETTINGS,
+    STRATEGIES,
     BehaviorTable,
-    LocalStrategy,
     behavior_from_phase_setup,
     bell_violation,
-    enumerate_deterministic_strategies,
     hardy_constants,
     lhv_membership,
     membership_system,
@@ -41,6 +40,16 @@ def optimum_behavior():
     return behavior_from_phase_setup(BeamSplitterParams.from_r(OPT_R), OPT_PHI)
 
 
+def strategy_outcome(strategy, setting):
+    """The outcome pair a strategy of ``STRATEGIES`` shows under ``setting``."""
+    return (strategy[0 if setting[0] else 1], strategy[2 if setting[1] else 3])
+
+
+def strategy_behavior(strategy):
+    """A strategy's behavior, built from its letters through the checked table constructor."""
+    return BehaviorTable.from_tables({s: {strategy_outcome(strategy, s): 1.0} for s in SETTINGS})
+
+
 def optimum_mixed_to_excess(excess):
     """The optimum behavior mixed with a local one, so its lifting exceeds 2 by ``excess``.
 
@@ -51,11 +60,8 @@ def optimum_mixed_to_excess(excess):
     optimum = optimum_behavior()
     y = np.asarray(lhv_membership(optimum).certificate)
     w, bound = y[:-1], -y[-1]
-    tight = next(
-        cells
-        for cells in (s.behavior().cells for s in enumerate_deterministic_strategies())
-        if w @ cells == bound
-    )
+    strategies = membership_system(optimum)[0][:-1].T  # one strategy's cells per row
+    tight = next(cells for cells in strategies if w @ cells == bound)
     share = excess / (w @ optimum.cells - bound)
     cells = share * optimum.cells + (1.0 - share) * tight
     return BehaviorTable.from_tables(
@@ -399,29 +405,27 @@ class TestBellViolation:
 
 class TestDeterministicStrategies:
     def test_thirty_six_distinct_behaviors(self):
-        strategies = enumerate_deterministic_strategies()
-        assert len(strategies) == 36
-        vectors = {tuple(s.behavior().cells) for s in strategies}
+        assert len(STRATEGIES) == 36
+        assert STRATEGIES[:3] == ("UCUC", "UCUD", "UCCC")
+        vectors = {tuple(strategy_behavior(s).cells) for s in STRATEGIES}
         assert len(vectors) == 36
 
     def test_every_strategy_satisfies_the_inequality(self):
-        for strategy in enumerate_deterministic_strategies():
-            report = bell_violation(strategy.behavior(), check_lhv=False)
+        for strategy in STRATEGIES:
+            report = bell_violation(strategy_behavior(strategy), check_lhv=False)
             assert report.violation <= ATOL
 
     @pytest.mark.parametrize("index", [0, 7, 20, 35])
     def test_vertices_are_point_masses(self, index):
-        strategies = enumerate_deterministic_strategies()
-        membership = lhv_membership(strategies[index].behavior())
+        membership = lhv_membership(strategy_behavior(STRATEGIES[index]))
         assert membership.feasible
         assert membership.weights[index] >= 1.0 - 1e-9
         assert abs(sum(membership.weights) - 1.0) <= 1e-9
 
-    def test_invalid_responses_rejected(self):
-        with pytest.raises(ValueError, match="placed detector"):
-            LocalStrategy(when_present="X", when_absent="C")
-        with pytest.raises(ValueError, match="absent detector"):
-            LocalStrategy(when_present="U", when_absent="U")
+
+# sha256 of the membership matrix, recorded from the strategy classes that
+# STRATEGIES replaced: the table kept every byte, so every weight's position.
+STRATEGY_MATRIX_SHA256 = "bbba3d3e88b47ae721583d8e96325f9751de3cad000e6a94f9cdb2ec36f3030a"
 
 
 class TestMembershipSystem:
@@ -439,10 +443,11 @@ class TestMembershipSystem:
 
     def test_columns_are_the_strategy_behaviors(self):
         A, _ = membership_system(optimum_behavior())
-        columns = [s.behavior().cells for s in enumerate_deterministic_strategies()]
+        columns = [strategy_behavior(s).cells for s in STRATEGIES]
         expected = np.vstack([np.column_stack(columns), np.ones(len(columns))])
         assert A.dtype == expected.dtype
         assert A.tobytes() == expected.tobytes()
+        assert hashlib.sha256(A.tobytes()).hexdigest() == STRATEGY_MATRIX_SHA256
 
 
 class TestLhvMembership:
@@ -457,19 +462,15 @@ class TestLhvMembership:
         assert membership.certificate is None
 
     def test_random_mixtures_recombine(self):
-        strategies = enumerate_deterministic_strategies()
         rng = random.Random(32)
         for _ in range(5):
             weights = [rng.random() for _ in range(36)]
             total = sum(weights)
             weights = [w / total for w in weights]
             tables = {setting: {} for setting in SETTINGS}
-            for w, strategy in zip(weights, strategies):
+            for w, strategy in zip(weights, STRATEGIES):
                 for setting in SETTINGS:
-                    outcome = (
-                        strategy.side1.outcome(setting[0]),
-                        strategy.side2.outcome(setting[1]),
-                    )
+                    outcome = strategy_outcome(strategy, setting)
                     tables[setting][outcome] = tables[setting].get(outcome, 0.0) + w
             membership = lhv_membership(BehaviorTable.from_tables(tables))
             assert membership.feasible
@@ -610,7 +611,11 @@ def verdict_bytes(verdict):
 VERDICTS_SHA256 = "f6ad6a9ef1a8c02f92add01d2aeedf0316e3572f303fcfdd527beaf3cd399c8e"
 
 
-def test_bell_path_keeps_its_bytes():
+def bell_path_digest():
+    """The sha256 of bell_points(2026, 300)'s cells and verdicts; the verdict kinds seen.
+
+    A kind is ``(feasible, decided by the simplex)``.
+    """
     digest = hashlib.sha256()
     verdicts = set()
     for r, phi in bell_points(2026, 300):
@@ -619,9 +624,14 @@ def test_bell_path_keeps_its_bytes():
         verdicts.add((verdict.feasible, verdict.iterations > 0))
         digest.update(behavior.cells.tobytes())
         digest.update(verdict_bytes(verdict))
+    return digest.hexdigest(), verdicts
+
+
+def test_bell_path_keeps_its_bytes():
+    digest, verdicts = bell_path_digest()
     # feasible verdicts from the simplex and infeasible ones from a lifting both occur
     assert {(True, True), (False, False)} <= verdicts
-    assert digest.hexdigest() == VERDICTS_SHA256
+    assert digest == VERDICTS_SHA256
 
 
 class TestLogicalInequality:

@@ -8,8 +8,9 @@ import tracemalloc
 
 import pytest
 
-from mzpair import explore
+from mzpair import bell, explore
 from mzpair.cli import CSV_HEADER, _to_json, main
+from mzpair.simplex import solve_phase1
 
 # Frozen byte-for-byte outputs; any serialization change must be deliberate.
 GOLDEN_EV = """\
@@ -307,6 +308,23 @@ class TestBell:
         data = run_json(capsys, ["bell", "--r", "0.3", "--phi", "0"])
         assert data["outputs"]["violation"] <= 0.0
         assert data["outputs"]["lhv_feasible"] is True
+
+    @pytest.mark.parametrize(
+        "r, phi, feasible", [("0.3", "0", True), ("0.7", "2", True), ("0.58", PI_TEXT, False)]
+    )
+    def test_one_simplex_per_point(self, capsys, monkeypatch, r, phi, feasible):
+        # A verdict the simplex decided keeps that run's leftover mass; one a
+        # lifting decided (the last point) runs the simplex only for the mass.
+        calls = []
+
+        def counted(A, b):
+            calls.append(b)
+            return solve_phase1(A, b)
+
+        monkeypatch.setattr(bell, "solve_phase1", counted)
+        data = run_json(capsys, ["bell", "--r", r, "--phi", phi])
+        assert len(calls) == 1
+        assert data["outputs"]["lhv_feasible"] is feasible
 
 
 

@@ -2,7 +2,8 @@
 
 ``facet_oracle`` builds the 25 positivity rows and the 72 liftings of CHSH
 from labels, in its own cell order; the package's lifting table must be
-those 72 rows, and the simplex's verdicts must agree with them.  No test
+those 72 rows, its strategy table must be the oracle's 36 strategies in
+the oracle's order, and the simplex's verdicts must agree with them.  No test
 here needs scipy.
 """
 
@@ -32,6 +33,22 @@ def test_the_strategies_span_fifteen_dimensions():
     assert len(STRATEGIES) == 36
     assert len({tuple(s) for s in STRATEGIES}) == 36
     assert oracle.affine_rank(STRATEGIES) == 15
+
+
+def test_the_package_strategies_are_the_oracle_strategies():
+    # Column j of the membership matrix, and the letters of STRATEGIES[j], are
+    # the oracle's strategy j: the weights of a feasible verdict follow this order.
+    behavior = bell.behavior_from_phase_setup(BeamSplitterParams.from_r(0.5), 0.0)
+    A, _ = bell.membership_system(behavior)
+    assert np.all(A[-1] == 1.0)
+    columns = A[:-1].T
+    assert len(columns) == len(bell.STRATEGIES) == len(STRATEGIES)
+    for column, letters, expected in zip(columns, bell.STRATEGIES, STRATEGIES):
+        side1 = {"placed": letters[0], "absent": letters[1]}
+        side2 = {"placed": letters[2], "absent": letters[3]}
+        spelled = oracle.row({(x1, x2, side1[x1], side2[x2]): 1 for x1, x2 in oracle.SETTINGS})
+        assert np.array_equal(to_oracle_order(column), expected), letters
+        assert np.array_equal(spelled, expected), letters
 
 
 def test_counts_and_labels():

@@ -166,10 +166,7 @@ optimum = bell.behavior_from_phase_setup(BeamSplitterParams.from_r(0.5830902), m
 y = bell.lhv_membership(optimum).certificate
 k = bell._LIFTING_CERTIFICATES.index(y)
 w = np.array(y[:-1])
-tight = next(
-    s.behavior().cells for s in bell.enumerate_deterministic_strategies()
-    if w @ s.behavior().cells == 2.0
-)
+tight = next(cells for cells in bell.membership_system(optimum)[0][:-1].T if w @ cells == 2.0)
 share = (bell.FEASIBILITY_TOL + bell._LIFTING_MARGIN / 2) / (w @ optimum.cells - 2.0)
 cells = share * optimum.cells + (1.0 - share) * tight
 mixed = bell.BehaviorTable.from_tables(
@@ -293,19 +290,18 @@ PUBLIC_API = [
     "BehaviorTable",
     "BellReport",
     "DEFAULT_GRID",
-    "DeterministicStrategy",
     "GRAVITATIONAL_CONSTANT",
     "GravityParams",
     "HBAR",
     "HardyConstants",
     "JointState",
     "LhvMembership",
-    "LocalStrategy",
     "Optimum",
     "OutcomeDistribution",
     "PairBatch",
     "PipelineError",
     "Readout",
+    "STRATEGIES",
     "SweepGrid",
     "__version__",
     "apply_absorber",
@@ -315,7 +311,6 @@ PUBLIC_API = [
     "apply_phase_coupling",
     "behavior_from_phase_setup",
     "bell_violation",
-    "enumerate_deterministic_strategies",
     "ev_retest_efficiency",
     "find_max_violation",
     "find_max_violation_at_phi",
@@ -351,7 +346,6 @@ PUBLIC_SIGNATURES = {
     "apply_phase_coupling": "(state: 'JointState', phi: 'float | np.ndarray') -> 'JointState'",
     "behavior_from_phase_setup": "(bs: 'BeamSplitterParams', phi: 'float') -> 'BehaviorTable'",
     "bell_violation": "(behavior: 'BehaviorTable', *, check_lhv: 'bool' = True) -> 'BellReport'",
-    "enumerate_deterministic_strategies": "() -> 'tuple[DeterministicStrategy, ...]'",
     "ev_retest_efficiency": "(bs: 'BeamSplitterParams') -> 'float'",
     "find_max_violation": "(refine_tol: 'float' = 1e-08) -> 'Optimum'",
     "find_max_violation_at_phi": "(phi: 'float') -> 'Optimum'",
