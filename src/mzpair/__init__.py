@@ -13,11 +13,9 @@ from .bell import (
     STRATEGIES,
     BehaviorTable,
     BellReport,
-    HardyConstants,
     LhvMembership,
     behavior_from_phase_setup,
     bell_violation,
-    hardy_constants,
     lhv_membership,
 )
 from .experiments import (
@@ -44,7 +42,6 @@ from .explore import (
 from .state import (
     BeamSplitterParams,
     JointState,
-    OutcomeDistribution,
     PipelineError,
     Readout,
     apply_absorber,

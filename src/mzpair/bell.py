@@ -50,12 +50,17 @@ __all__ = [
     "bell_violation",
     "membership_system",
     "lhv_membership",
-    "hardy_constants",
-    "HardyConstants",
+    "QUBIT_PARADOX_MAX",
+    "GOLDEN_IDENTITY_OK",
 ]
 
 NO_SIGNALING_TOL = 1e-9
 TABLE_NORM_TOL = 1e-12
+
+# The paradox's ceiling over all two-qubit states and measurements, and
+# whether it equals tau**-5, for the golden ratio tau, to 1e-12.
+QUBIT_PARADOX_MAX = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
+GOLDEN_IDENTITY_OK = abs(QUBIT_PARADOX_MAX - ((1.0 + math.sqrt(5.0)) / 2.0) ** -5) <= 1e-12
 
 
 def side_outcomes(present: bool) -> tuple[str, ...]:
@@ -375,22 +380,3 @@ def lhv_membership(behavior: BehaviorTable) -> LhvMembership:
     if not (yb > 0.0 and ya <= FEASIBILITY_TOL):
         raise RuntimeError(f"Farkas certificate fails: y.b = {yb!r}, max(y.A) = {ya!r}")
     return verdict
-
-
-@dataclass(frozen=True)
-class HardyConstants:
-    qubit_max: float  # (5*sqrt(5) - 11) / 2
-    golden_check: bool  # equals the inverse fifth power of the golden ratio
-
-
-def hardy_constants() -> HardyConstants:
-    """Reference ceiling for this paradox probability with two qubits.
-
-    The maximum over all two-qubit states and measurements is
-    ``(5*sqrt(5) - 11) / 2``, which is also ``tau**-5`` for the golden
-    ratio ``tau``; the flag records that identity holding to 1e-12.
-    """
-    qubit_max = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
-    tau = (1.0 + math.sqrt(5.0)) / 2.0
-    golden_check = abs(qubit_max - tau**-5) <= 1e-12
-    return HardyConstants(qubit_max=qubit_max, golden_check=golden_check)

@@ -24,7 +24,6 @@ from .state import (
     U,
     BeamSplitterParams,
     JointState,
-    OutcomeDistribution,
     Readout,
     apply_absorber,
     apply_annihilation_coupling,
@@ -128,12 +127,12 @@ class GravityParams:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def run_ev(bs: BeamSplitterParams, bomb_present: bool) -> OutcomeDistribution:
+def run_ev(bs: BeamSplitterParams, bomb_present: bool) -> dict[str, float]:
     """Single interferometer, optionally with a triggering bomb in arm ``u``.
 
-    Without the bomb the tuned device sends everything to ``C``.  With it,
-    outcomes are ``exploded`` (r^2), ``C`` (t^4) and the interaction-free
-    flag ``D`` (t^2 r^2).
+    Returns the nonzero outcomes.  Without the bomb the tuned device sends
+    everything to ``C``; with it, outcomes are ``exploded`` (r^2), ``C``
+    (t^4) and the interaction-free flag ``D`` (t^2 r^2).
     """
     state = JointState.single()
     state = apply_bs1(state, 0, bs)

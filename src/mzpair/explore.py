@@ -49,6 +49,13 @@ REFINE_TOL = 1e-8  # the zoom box half-width at which refinement stops
 # still caps memory when a grid has many more phases per row.
 SCAN_BLOCK = 200
 
+# glibc's malloc takes requests under 128 KiB from the heap and trims the heap
+# top once over 128 KiB lies free there.  A block's amplitudes (9 keys x 800
+# rows x 16 B = 115,200 B) fall just under, so whether a scan trimmed and
+# refaulted every block hung on earlier allocations, even the checkout path's
+# length.  Freeing one mmapped 1 MiB chunk lifts both thresholds above it.
+np.empty(1 << 17)
+
 # Zoom grid values per refined axis, and the box's shrink per round: the new
 # half-width is the old grid spacing, so the box keeps a peak that lies
 # between the best point's grid neighbours.

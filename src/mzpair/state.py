@@ -71,7 +71,6 @@ __all__ = [
     "PipelineError",
     "BeamSplitterParams",
     "JointState",
-    "OutcomeDistribution",
     "Readout",
     "apply_bs1",
     "apply_bs2",
@@ -151,7 +150,10 @@ class BeamSplitterParams:
     def from_r(cls, r: float) -> "BeamSplitterParams":
         if not 0.0 < r < 1.0:
             raise ValueError(f"reflection amplitude must lie in (0, 1), got {r!r}")
-        return cls(t=math.sqrt(1.0 - r * r), r=r)
+        t = math.sqrt(1.0 - r * r)
+        if t == 1.0:  # below about 2**-27
+            raise ValueError(f"ratio {r!r} is too small: its transmission amplitude rounds to 1")
+        return cls(t=t, r=r)
 
     def tile(self, reps: int) -> "BeamSplitterParams":
         """These parameters for ``reps`` copies of a batch's rows, as ``np.tile`` repeats them.
@@ -234,45 +236,6 @@ def _at_source(rows: int, key: Key) -> JointState:
     return JointState(amps, (key,))
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Normalized probability table over terminal detector outcomes.
-
-    Outcomes are per-side letters (``"U"``, ``"C"``, ``"D"``, ``"exploded"``)
-    for single-particle runs, pairs of letters for twin runs, plus the
-    ``"gamma"`` joint sink.
-    """
-
-    probabilities: dict[Outcome, float]
-
-    @classmethod
-    def of(cls, probabilities: dict[Outcome, float]) -> "OutcomeDistribution":
-        cleaned: dict[Outcome, float] = {}
-        for outcome, p in probabilities.items():
-            if not math.isfinite(p):
-                raise ValueError(f"non-finite probability {p!r} for outcome {outcome!r}")
-            if p < -1e-15:
-                raise ValueError(f"negative probability {p!r} for outcome {outcome!r}")
-            cleaned[outcome] = max(p, 0.0)
-        total = sum(cleaned.values())
-        if not (abs(total - 1.0) <= NORM_TOL):
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within {NORM_TOL}")
-        return cls(cleaned)
-
-    def prob(self, outcome: Outcome) -> float:
-        return self.probabilities.get(outcome, 0.0)
-
-    def marginal(self, side: int) -> dict[str, float]:
-        """Per-side totals over pair outcomes; joint sinks are excluded."""
-        if side not in (0, 1):
-            raise ValueError(f"side must be 0 or 1, got {side!r}")
-        out: dict[str, float] = {}
-        for outcome, p in self.probabilities.items():
-            if isinstance(outcome, tuple):
-                out[outcome[side]] = out.get(outcome[side], 0.0) + p
-        return out
-
-
 _LETTER = {C: "C", D: "D", ABSORBED: "U", EXPLODED: "exploded"}
 _TERMINAL = (ABSORBED, EXPLODED, C, D)
 # (key, outcome) in the order a readout row lists its outcomes, and so the
@@ -284,7 +247,7 @@ _ROW_OUTCOMES = tuple(
     for first in _TERMINAL
     for second in _TERMINAL + (NONE,)
 ) + ((GAMMA, GAMMA),)
-# The key that holds each outcome named as in OutcomeDistribution.
+# The key that holds each outcome: a letter, a pair of letters, or "gamma".
 OUTCOME_KEYS = {outcome: key for key, outcome in _ROW_OUTCOMES}
 
 
@@ -301,18 +264,16 @@ class Readout:
     keys: tuple[Key, ...]
 
     def prob(self, outcome: Outcome) -> np.ndarray:
-        """Per-row probability of an outcome, named as in :class:`OutcomeDistribution`."""
+        """Per-row probability of an outcome, named as in ``OUTCOME_KEYS``."""
         key = OUTCOME_KEYS[outcome]
         if key in self.keys:
             return self.probs[self.keys.index(key)]
         return np.zeros(self.probs.shape[1])
 
-    def row(self, index: int) -> OutcomeDistribution:
-        """One row's outcomes with nonzero probability, as an outcome table."""
+    def row(self, index: int) -> dict[Outcome, float]:
+        """One row's outcomes with nonzero probability, as ``{outcome: probability}``."""
         values = dict(zip(self.keys, self.probs[:, index].tolist()))
-        return OutcomeDistribution(
-            {outcome: values[key] for key, outcome in _ROW_OUTCOMES if values.get(key)}
-        )
+        return {outcome: values[key] for key, outcome in _ROW_OUTCOMES if values.get(key)}
 
 
 # Zero-dimensional operands: numpy takes them without converting a Python scalar.

@@ -1,6 +1,7 @@
 """End-to-end command line tests: exit codes, golden bytes, schemas."""
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -136,6 +137,10 @@ GOLDEN_GRAVITY_NEAR_PI = """\
 SWEEP_DEFAULT_SHA256 = "a3ff2fe235aa7f3a193547a5ffa7958ac950b68a491419ddfd6104fb6aa46397"
 OPTIMIZE_DEFAULT_SHA256 = "f22ff432083db2cc30d53ce545e3fb61509ec2742dba6832cc26d44e2c694ed0"
 
+# sha256 over 154 runs of ev, phase and annihilation (see small_command_runs),
+# recorded while the marginals were still summed by an outcome-table type.
+SMALL_COMMANDS_SHA256 = "8525fc014f61a894f9ccdf976a11f5fc73f0b651a6d7a39738f70e92bb50c6c8"
+
 PI_TEXT = "3.141592653589793"
 # sqrt((2 - sqrt(2)) / 2), the ratio that nulls the joint bright port at phi = pi
 TUNED_R_TEXT = "0.5411961001461969"
@@ -152,6 +157,17 @@ def run_json(capsys, argv):
     assert code == 0, err
     assert err == ""
     return json.loads(out)
+
+
+def small_command_runs():
+    """Every ev, phase and annihilation run the small-command digest covers, in order."""
+    for r in ("0.05", "0.3", "0.47", "0.5", "0.58309", "0.7", "0.93"):
+        yield ["ev", "--r", r]
+        yield ["ev", "--r", r, "--bomb"]
+        for u1, u2 in itertools.product((False, True), repeat=2):
+            for phi in ("0", "1.25", "3.14159265", "-2.2"):
+                yield ["phase", "--r", r, "--phi", phi] + ["--place-u1"] * u1 + ["--place-u2"] * u2
+            yield ["annihilation", "--r", r] + ["--place-u-plus"] * u1 + ["--place-u-minus"] * u2
 
 
 class TestGoldenOutput:
@@ -198,6 +214,16 @@ class TestGoldenOutput:
             assert code == 0
             assert _to_json(json.loads(out)) + "\n" == out
 
+    def test_small_commands_are_pinned(self, capsys):
+        digest = hashlib.sha256()
+        runs = 0
+        for argv in small_command_runs():
+            code, out, _ = run_cli(capsys, argv)
+            digest.update(repr((argv, code, out)).encode())
+            runs += 1
+        assert runs == 154
+        assert digest.hexdigest() == SMALL_COMMANDS_SHA256
+
     def test_envelope_key_order(self, capsys):
         data = run_json(capsys, ["ev", "--r", "0.25"])
         assert list(data) == ["schema_version", "command", "inputs", "outputs"]
@@ -222,6 +248,14 @@ class TestEv:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_ratio_too_small_for_its_transmission_exits_2(self, capsys):
+        # Below 2**-27, sqrt(1 - r*r) rounds to 1.0 although r lies in (0, 1).
+        code, out, err = run_cli(capsys, ["ev", "--r", "1e-9"])
+        assert code == 2 and out == ""
+        assert "too small: its transmission amplitude rounds to 1" in err
+        assert "Traceback" not in err
+        run_json(capsys, ["ev", "--r", "7.5e-9"])
 
     def test_missing_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -250,6 +284,17 @@ class TestAnnihilation:
         assert joint["p_uplus_uminus"] == 0.0
         assert abs(sum(joint.values()) - 1.0) <= 1e-9
         assert abs(data["outputs"]["marginals"]["p_uplus"] - 0.1875) <= 1e-9
+
+    def test_marginals_from_joint_table(self, capsys):
+        # The joint sink counts on neither side, so each side's marginals
+        # sum to the probability that the pair survived.
+        outputs = run_json(capsys, ["annihilation", "--r", "0.5"])["outputs"]
+        p_gamma = outputs["joint"]["p_gamma"]
+        assert p_gamma > 0.0
+        marginals = outputs["marginals"]
+        for suffix in ("plus", "minus"):
+            side = marginals[f"p_c{suffix}"] + marginals[f"p_d{suffix}"]
+            assert abs(side - (1.0 - p_gamma)) <= 1e-12
 
 
 class TestPhase:

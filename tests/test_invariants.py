@@ -293,11 +293,9 @@ PUBLIC_API = [
     "GRAVITATIONAL_CONSTANT",
     "GravityParams",
     "HBAR",
-    "HardyConstants",
     "JointState",
     "LhvMembership",
     "Optimum",
-    "OutcomeDistribution",
     "PairBatch",
     "PipelineError",
     "Readout",
@@ -316,7 +314,6 @@ PUBLIC_API = [
     "find_max_violation_at_phi",
     "first_max",
     "gravity_phase",
-    "hardy_constants",
     "lhv_membership",
     "measure",
     "run_ev",
@@ -351,10 +348,9 @@ PUBLIC_SIGNATURES = {
     "find_max_violation_at_phi": "(phi: 'float') -> 'Optimum'",
     "first_max": "(blocks) -> 'tuple[int, tuple[float, float, float, float, float] | None]'",
     "gravity_phase": "(params: 'GravityParams') -> 'float'",
-    "hardy_constants": "() -> 'HardyConstants'",
     "lhv_membership": "(behavior: 'BehaviorTable') -> 'LhvMembership'",
     "measure": "(state: 'JointState') -> 'Readout'",
-    "run_ev": "(bs: 'BeamSplitterParams', bomb_present: 'bool') -> 'OutcomeDistribution'",
+    "run_ev": "(bs: 'BeamSplitterParams', bomb_present: 'bool') -> 'dict[str, float]'",
     "run_pair": "(batch: 'PairBatch') -> 'Readout'",
     "run_pair_state": "(batch: 'PairBatch') -> 'JointState'",
     "sweep": "(grid: 'SweepGrid')",

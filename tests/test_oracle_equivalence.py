@@ -68,7 +68,7 @@ def key_probability(readout, key):
 
 
 def max_probability_diff(readout, dense, row=0):
-    ours = readout.row(row).probabilities
+    ours = readout.row(row)
     reference = dense.probabilities()
     keys = set(ours) | set(reference)
     return max(abs(ours.get(k, 0.0) - reference.get(k, 0.0)) for k in keys)

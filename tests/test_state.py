@@ -24,7 +24,6 @@ from mzpair.state import (
     V,
     BeamSplitterParams,
     JointState,
-    OutcomeDistribution,
     PipelineError,
     apply_absorber,
     apply_annihilation_coupling,
@@ -381,31 +380,6 @@ class TestMeasure:
     def test_rejects_internal_amplitude(self, label):
         with pytest.raises(PipelineError, match="cannot measure"):
             measure(JointState.of({(label, NONE): 1.0}))
-
-    def test_marginals_from_joint_table(self):
-        dist = OutcomeDistribution.of({("C", "D"): 0.25, ("D", "D"): 0.25, "gamma": 0.5})
-        assert abs(dist.marginal(0)["C"] - 0.25) <= ATOL
-        assert abs(dist.marginal(1)["D"] - 0.5) <= ATOL
-        assert "gamma" not in dist.marginal(0)
-
-
-class TestOutcomeDistribution:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="sum to"):
-            OutcomeDistribution.of({"C": 0.5})
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative probability"):
-            OutcomeDistribution.of({"C": 1.0, "D": -1e-3})
-
-    def test_clamps_tiny_negative_to_zero(self):
-        dist = OutcomeDistribution.of({"C": 1.0, "D": -5e-16})
-        assert dist.prob("D") == 0.0
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match=r"non-finite probability .* for outcome 'D'"):
-            OutcomeDistribution.of({"C": 1.0, "D": bad})
 
 
 def test_prune_drops_tiny_amplitudes():
